@@ -21,6 +21,10 @@ let votes_from t ~low =
 
 let vote_at t i = IMap.find_opt i t.votes
 
+let instances_below t ~upto =
+  let below, _, _ = IMap.split upto t.votes in
+  IMap.fold (fun i _ acc -> i :: acc) below [] |> List.rev
+
 type p1_result =
   | Promise of (int * Types.vote) list * int
   | P1_nack of Ballot.t

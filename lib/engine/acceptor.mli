@@ -8,8 +8,9 @@
     (paper §"auxiliary storage", experiment E5).
 
     Purity makes the module directly property-testable; the replica layers
-    persistence on top by writing the whole state to {!Cp_sim.Stable} after
-    each mutation. *)
+    persistence on top as effects that write only what a mutation changed:
+    a header [(promised, floor)] when either moves, one record per accepted
+    vote, and one removal per compacted vote. *)
 
 type t
 
@@ -25,6 +26,10 @@ val votes_from : t -> low:int -> (int * Cp_proto.Types.vote) list
 (** Accepted votes at instances ≥ [low], ascending. *)
 
 val vote_at : t -> int -> Cp_proto.Types.vote option
+
+val instances_below : t -> upto:int -> int list
+(** Instances of the stored votes below [upto], ascending — the votes
+    [compact ~upto] drops. *)
 
 type p1_result =
   | Promise of (int * Cp_proto.Types.vote) list * int
@@ -50,6 +55,8 @@ val invariant : t -> bool
 (** Every stored vote's ballot ≤ promised, and no vote below the floor. *)
 
 val export : t -> Cp_proto.Ballot.t * (int * Cp_proto.Types.vote) list * int
-(** Serializable image [(promised, votes, floor)] for stable storage. *)
+(** The whole state as [(promised, votes, floor)], ascending by instance. *)
 
 val import : Cp_proto.Ballot.t * (int * Cp_proto.Types.vote) list * int -> t
+(** Rebuild from [(promised, votes, floor)]; recovery assembles it from the
+    stored header and vote records. *)

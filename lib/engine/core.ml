@@ -72,7 +72,7 @@ let step t ~now:clock input =
    of stable storage (the core itself never touches storage). *)
 let recover t (recovery : recovery) =
   (match recovery.r_acceptor with
-  | Some image -> t.acceptor <- Acceptor.import image
+  | Some acc -> t.acceptor <- acc
   | None -> ());
   if t.role_ = Main then begin
     (match recovery.r_snapshot with

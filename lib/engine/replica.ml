@@ -29,18 +29,39 @@ type t = {
 
 let log_key i = "log." ^ string_of_int i
 
-(* Persistence goes through the typed stable-record codecs, not [Marshal]:
-   the store sees only bytes with a defined, versioned layout. *)
+let vote_key i = "vote." ^ string_of_int i
+
+let put_acceptor_header stable ~promised ~floor =
+  Stable.put stable "acceptor" (Codec.encode_acceptor_image (promised, [], floor))
+
+let put_vote stable i vote = Stable.put stable (vote_key i) (Codec.encode_stable_vote (i, vote))
+
+(* The stable layout: the record(s) each persistence effect writes, through
+   the typed stable-record codecs, not [Marshal] — the store sees only bytes
+   with a defined, versioned layout. The acceptor is a header ["acceptor"]
+   holding (promise, floor) plus one ["vote.<i>"] record per retained vote. *)
+let persist stable (eff : Effect.t) =
+  match eff with
+  | Effect.Persist_acceptor_header { promised; floor } ->
+    put_acceptor_header stable ~promised ~floor
+  | Effect.Persist_vote (i, vote) -> put_vote stable i vote
+  | Effect.Drop_vote i -> Stable.remove stable (vote_key i)
+  | Effect.Persist_log (i, entry) ->
+    Stable.put stable (log_key i) (Codec.encode_stable_entry entry)
+  | Effect.Persist_snapshot snap ->
+    Stable.put stable "snapshot" (Codec.encode_stable_snapshot snap)
+  | Effect.Drop_log i -> Stable.remove stable (log_key i)
+  | Effect.Send _ | Effect.Set_timer _ | Effect.Emit _ | Effect.Metric _ | Effect.Observe _
+  | Effect.Span_submitted _ | Effect.Span_chosen _ | Effect.Span_executed _
+  | Effect.Span_reset ->
+    ()
+
 let interpret_one t (eff : Effect.t) =
   match eff with
   | Effect.Send (dst, msg) -> t.ctx.Engine.send dst msg
-  | Effect.Persist_acceptor image ->
-    Stable.put t.ctx.Engine.stable "acceptor" (Codec.encode_acceptor_image image)
-  | Effect.Persist_log (i, entry) ->
-    Stable.put t.ctx.Engine.stable (log_key i) (Codec.encode_stable_entry entry)
-  | Effect.Persist_snapshot snap ->
-    Stable.put t.ctx.Engine.stable "snapshot" (Codec.encode_stable_snapshot snap)
-  | Effect.Drop_log i -> Stable.remove t.ctx.Engine.stable (log_key i)
+  | Effect.Persist_acceptor_header _ | Effect.Persist_vote _ | Effect.Drop_vote _
+  | Effect.Persist_log _ | Effect.Persist_snapshot _ | Effect.Drop_log _ ->
+    persist t.ctx.Engine.stable eff
   | Effect.Set_timer (tag, delay) -> ignore (t.ctx.Engine.set_timer ~tag delay)
   | Effect.Emit ev -> t.ctx.Engine.emit ev
   | Effect.Metric (name, by) -> Metrics.incr t.ctx.Engine.metrics ~by name
@@ -52,8 +73,8 @@ let interpret_one t (eff : Effect.t) =
 
 let is_persist (eff : Effect.t) =
   match eff with
-  | Effect.Persist_acceptor _ | Effect.Persist_log _ | Effect.Persist_snapshot _
-  | Effect.Drop_log _ ->
+  | Effect.Persist_acceptor_header _ | Effect.Persist_vote _ | Effect.Drop_vote _
+  | Effect.Persist_log _ | Effect.Persist_snapshot _ | Effect.Drop_log _ ->
     true
   | _ -> false
 
@@ -87,39 +108,60 @@ let get_decoded stable key decode =
   | None -> None
   | Some bytes -> ( match decode bytes with Ok v -> Some v | Error _ -> None)
 
-(* Every persisted chosen entry, in no particular order; the core filters
-   and sorts against its post-snapshot log base. *)
-let scan_log stable =
-  let prefix = "log." in
-  Stable.keys stable
-  |> List.filter_map (fun k ->
-         if
-           String.length k > String.length prefix
-           && String.sub k 0 (String.length prefix) = prefix
-         then
-           match
-             int_of_string_opt
-               (String.sub k (String.length prefix) (String.length k - String.length prefix))
-           with
-           | Some i ->
-             get_decoded stable k Codec.decode_stable_entry
-             |> Option.map (fun (e : Types.entry) -> (i, e))
-           | None -> None
-         else None)
+(* Every record under a ["<prefix><i>"] key of [keys] that decodes, as
+   [(i, value)], in no particular order. *)
+let scan stable keys ~prefix decode =
+  let n = String.length prefix in
+  List.filter_map
+    (fun k ->
+      if String.length k > n && String.sub k 0 n = prefix then
+        match int_of_string_opt (String.sub k n (String.length k - n)) with
+        | Some i -> get_decoded stable k decode |> Option.map (fun v -> (i, v))
+        | None -> None
+      else None)
+    keys
+
+(* The acceptor: the header's promise and floor, any votes a header written
+   before per-vote records still holds inline, and every vote record at or
+   above the floor. Two leftovers are brought to the current layout before
+   the core runs: inline votes are rewritten as records, then the header
+   without them (so no later header write can lose them); records below the
+   floor — left when a crash tore a compaction batch after its header — are
+   removed. *)
+let recover_acceptor stable keys =
+  match get_decoded stable "acceptor" Codec.decode_acceptor_image with
+  | None -> None
+  | Some (promised, inline, floor) ->
+    let records =
+      scan stable keys ~prefix:"vote." Codec.decode_stable_vote
+      |> List.filter_map (fun (i, (j, v)) -> if i = j then Some (i, v) else None)
+    in
+    let stale, live = List.partition (fun (i, _) -> i < floor) records in
+    List.iter (fun (i, _) -> Stable.remove stable (vote_key i)) stale;
+    let acc = Acceptor.import (promised, inline @ live, floor) in
+    if inline <> [] then begin
+      List.iter (fun (i, v) -> put_vote stable i v) (Acceptor.votes_from acc ~low:floor);
+      put_acceptor_header stable ~promised ~floor
+    end;
+    if stale <> [] || inline <> [] then Stable.flush stable;
+    Some acc
+
+let recover stable ~role =
+  let keys = Stable.keys stable in
+  let r_had_state = Stable.mem stable "acceptor" in
+  let r_acceptor = recover_acceptor stable keys in
+  {
+    State.r_acceptor;
+    r_snapshot =
+      (if role = Main then get_decoded stable "snapshot" Codec.decode_stable_snapshot
+       else None);
+    r_log = (if role = Main then scan stable keys ~prefix:"log." Codec.decode_stable_entry else []);
+    r_had_state;
+  }
 
 let create ?exec ctx ~role ~policy ~params ~initial ~universe_mains ~universe_auxes
     ~app =
-  let stable = ctx.Engine.stable in
-  let recovery =
-    {
-      State.r_acceptor = get_decoded stable "acceptor" Codec.decode_acceptor_image;
-      r_snapshot =
-        (if role = Main then get_decoded stable "snapshot" Codec.decode_stable_snapshot
-         else None);
-      r_log = (if role = Main then scan_log stable else []);
-      r_had_state = Stable.mem stable "acceptor";
-    }
-  in
+  let recovery = recover ctx.Engine.stable ~role in
   let core, effects =
     Core.create ~self:ctx.Engine.self ~now:(ctx.Engine.now ()) ~rng:ctx.Engine.rng ~role
       ~policy ~params ~initial ~universe_mains ~universe_auxes ~app ~recovery

@@ -97,10 +97,10 @@ type rstate =
 (* What the interpreter read from stable storage before building the core:
    the core itself never touches storage, it is handed this image once. *)
 type recovery = {
-  r_acceptor : (Ballot.t * (int * Types.vote) list * int) option;
+  r_acceptor : Acceptor.t option;
   r_snapshot : Types.snapshot option;
   r_log : (int * Types.entry) list; (* every persisted chosen entry, any order *)
-  r_had_state : bool; (* acceptor image existed: this is a restart *)
+  r_had_state : bool; (* acceptor header existed: this is a restart *)
 }
 
 let fresh_boot = { r_acceptor = None; r_snapshot = None; r_log = []; r_had_state = false }
@@ -184,7 +184,39 @@ let draw_fuzz t = t.election_fuzz <- Rng.float t.rng t.params.Params.election_fu
 (* Persistence (as effects)                                            *)
 (* ------------------------------------------------------------------ *)
 
-let persist_acceptor t = push t (Effect.Persist_acceptor (Acceptor.export t.acceptor))
+(* The acceptor is stored as a header [(promised, floor)] plus one record
+   per vote, so each helper below installs the new acceptor and queues only
+   the records that changed: a vote costs one small write, not a rewrite of
+   every retained vote. *)
+
+let persist_acceptor_header t =
+  push t
+    (Effect.Persist_acceptor_header
+       { promised = Acceptor.promised t.acceptor; floor = Acceptor.compacted_upto t.acceptor })
+
+(* Phase 1 and phase 2 never move the floor; the header is rewritten only
+   when the promise moves. *)
+let set_acceptor t acc =
+  let moved = not (Ballot.equal (Acceptor.promised acc) (Acceptor.promised t.acceptor)) in
+  t.acceptor <- acc;
+  if moved then persist_acceptor_header t
+
+(* [acc] has just accepted a vote at [instance]. A raised promise goes out
+   before the vote, so no durable prefix holds a vote above its promise. *)
+let record_vote t acc instance =
+  set_acceptor t acc;
+  Option.iter (fun v -> push t (Effect.Persist_vote (instance, v))) (Acceptor.vote_at acc instance)
+
+(* Compaction writes the header with the new floor FIRST, then drops each
+   compacted vote. Storage keeps the order of a batch's records, so every
+   torn prefix of it recovers to a floor that covers any vote it lost. *)
+let compact_acceptor t ~upto =
+  if upto > Acceptor.compacted_upto t.acceptor then begin
+    let dropped = Acceptor.instances_below t.acceptor ~upto in
+    t.acceptor <- Acceptor.compact t.acceptor ~upto;
+    persist_acceptor_header t;
+    List.iter (fun i -> push t (Effect.Drop_vote i)) dropped
+  end
 
 let persist_log_entry t i entry = push t (Effect.Persist_log (i, entry))
 

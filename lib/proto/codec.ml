@@ -674,8 +674,9 @@ let decode_frames s =
 
 (* --- stable records ----------------------------------------------------- *)
 
-(* What the effect interpreter persists: the acceptor image, one chosen log
-   entry, and the snapshot. Each record leads with a version byte so a
+(* What the effect interpreter persists: the acceptor header, one accepted
+   vote, one chosen log entry, and the snapshot. Each record leads with a
+   version byte so a
    future layout change can read old disks; decoding returns Result and
    requires exact landing, like the wire decoders — a half-written or
    foreign blob is an [Error], never an exception. These replace [Marshal]
@@ -716,6 +717,10 @@ let read_acceptor_image s ~pos =
 let encode_acceptor_image = encode_stable write_acceptor_image
 
 let decode_acceptor_image = decode_stable "acceptor" read_acceptor_image
+
+let encode_stable_vote = encode_stable BW.ivote
+
+let decode_stable_vote = decode_stable "vote" read_ivote
 
 let encode_stable_entry = encode_stable BW.entry
 

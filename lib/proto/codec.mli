@@ -137,7 +137,8 @@ val read_string : string -> pos:int -> (string * int, string) result
 (** {1 Stable records}
 
     Typed, versioned codecs for what the effect interpreter persists — the
-    acceptor image, one chosen log entry, the snapshot. Each record leads
+    acceptor header, one accepted vote, one chosen log entry, the snapshot.
+    Each record leads
     with a version byte; decoding returns [Result] and requires exact
     landing, so a torn or foreign blob is an [Error], never an exception.
     These replace [Marshal] on the durable path: the byte layout is defined
@@ -145,14 +146,21 @@ val read_string : string -> pos:int -> (string * int, string) result
     one compiler version reads back under another. *)
 
 type acceptor_image = Ballot.t * (int * Types.vote) list * int
-(** Promised ballot, votes by instance, compaction floor — exactly the
-    payload of [Effect.Persist_acceptor]. *)
+(** Promised ballot, votes by instance, compaction floor. The replica writes
+    it as the acceptor {e header}, with an empty vote list: each vote is its
+    own record ({!encode_stable_vote}). Headers written by older versions
+    carry every retained vote inline and still decode. *)
 
 val stable_version : int
 
 val encode_acceptor_image : acceptor_image -> string
 
 val decode_acceptor_image : string -> (acceptor_image, string) result
+
+val encode_stable_vote : int * Types.vote -> string
+(** One accepted vote and its instance. *)
+
+val decode_stable_vote : string -> (int * Types.vote, string) result
 
 val encode_stable_entry : Types.entry -> string
 

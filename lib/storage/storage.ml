@@ -1,12 +1,12 @@
 (* The storage signature: what a runtime must provide to persist a replica.
 
    Mirrors {!Cp_transport.Transport.S} for the disk: the engine's effect
-   interpreter writes acceptor images, chosen log entries, and snapshots
-   through the capability value below, and backends — the in-memory table
-   ({!Mem}), the group-commit write-ahead log ({!Wal}), the fault injector
-   ({!Faulty}) — are interchangeable instances rather than hand-rolled
-   hashtables. Values are bytes: the typed stable-record codecs
-   ({!Cp_proto.Codec.encode_acceptor_image} and friends) live above this
+   interpreter writes the acceptor header, one record per accepted vote,
+   chosen log entries, and snapshots through the capability value below,
+   and backends — the in-memory table ({!Mem}), the group-commit write-ahead
+   log ({!Wal}), the fault injector ({!Faulty}) — are interchangeable
+   instances rather than hand-rolled hashtables. Values are bytes: the typed stable-record codecs
+   ({!Cp_proto.Codec.encode_stable_vote} and friends) live above this
    layer, so a backend never sees (or marshals) an OCaml value.
 
    Namespacing: [sub t ~name] derives a view whose keys are invisible to

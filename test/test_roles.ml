@@ -49,7 +49,17 @@ let sends_to dst effects =
   Effect.sends effects |> List.filter_map (fun (d, m) -> if d = dst then Some m else None)
 
 let has_persist_acceptor effects =
-  List.exists (function Effect.Persist_acceptor _ -> true | _ -> false) effects
+  List.exists
+    (function Effect.Persist_acceptor_header _ | Effect.Persist_vote _ -> true | _ -> false)
+    effects
+
+(* The acceptor-record effects of a batch, in emission order. *)
+let acceptor_writes effects =
+  List.filter
+    (function
+      | Effect.Persist_acceptor_header _ | Effect.Persist_vote _ | Effect.Drop_vote _ -> true
+      | _ -> false)
+    effects
 
 let ballot0 = Ballot.succ_for Ballot.bottom ~leader:0
 
@@ -88,6 +98,63 @@ let test_acceptor_p2a_accept () =
   | [ Types.P2b { instance = 0; from = 2; _ } ] -> ()
   | _ -> Alcotest.fail "expected exactly one P2b to the proposer");
   Alcotest.(check bool) "vote persisted" true (has_persist_acceptor effs)
+
+(* An auxiliary that has accepted [n] votes (instances 0..n-1) at [ballot]. *)
+let aux_with_votes ~ballot n =
+  let t, _ = mk ~self:2 ~role:State.Aux () in
+  let rec go t i =
+    if i = n then t
+    else
+      let entry = Types.App { Types.client = 9; seq = i + 1; op = "x" } in
+      let t, _ =
+        Acceptor_core.step t ~now:0.1
+          (Acceptor_core.P2a { src = 0; ballot; instance = i; entry })
+      in
+      go t (i + 1)
+  in
+  go t 0
+
+let test_acceptor_p2a_steady_state () =
+  let t = aux_with_votes ~ballot:ballot0 1 in
+  let entry = Types.App { Types.client = 9; seq = 2; op = "y" } in
+  let _, effs =
+    Acceptor_core.step t ~now:0.2 (Acceptor_core.P2a { src = 0; ballot = ballot0; instance = 1; entry })
+  in
+  match acceptor_writes effs with
+  | [ Effect.Persist_vote (1, v) ] ->
+    Alcotest.(check bool) "vote at the proposer's ballot" true (Ballot.equal v.Types.vballot ballot0);
+    Alcotest.(check bool) "vote carries the entry" true (v.Types.ventry = entry)
+  | _ -> Alcotest.fail "expected exactly one Persist_vote and no header"
+
+let test_acceptor_p2a_higher_ballot () =
+  let t = aux_with_votes ~ballot:ballot0 1 in
+  let high = Ballot.succ_for ballot0 ~leader:1 in
+  let entry = Types.App { Types.client = 9; seq = 2; op = "y" } in
+  let _, effs =
+    Acceptor_core.step t ~now:0.2 (Acceptor_core.P2a { src = 1; ballot = high; instance = 1; entry })
+  in
+  match acceptor_writes effs with
+  | [ Effect.Persist_acceptor_header { promised; floor }; Effect.Persist_vote (1, v) ] ->
+    Alcotest.(check bool) "header carries the new promise" true (Ballot.equal promised high);
+    Alcotest.(check int) "floor unchanged" 0 floor;
+    Alcotest.(check bool) "vote at the new ballot" true (Ballot.equal v.Types.vballot high)
+  | _ -> Alcotest.fail "expected the header, then the vote"
+
+let test_acceptor_commit_floor_drops () =
+  let t = aux_with_votes ~ballot:ballot0 5 in
+  let t, effs = Acceptor_core.step t ~now:0.2 (Acceptor_core.Commit_floor { upto = 3 }) in
+  (match acceptor_writes effs with
+  | Effect.Persist_acceptor_header { promised; floor } :: drops ->
+    Alcotest.(check bool) "promise unchanged" true (Ballot.equal promised ballot0);
+    Alcotest.(check int) "header carries the new floor" 3 floor;
+    Alcotest.(check (list int))
+      "drops exactly the votes below upto" [ 0; 1; 2 ]
+      (List.map (function Effect.Drop_vote i -> i | _ -> -1) drops)
+  | _ -> Alcotest.fail "expected the header before every Drop_vote");
+  Alcotest.(check int) "votes at or above the floor kept" 2
+    (Cp_engine.Acceptor.vote_count t.State.acceptor);
+  let _, effs = Acceptor_core.step t ~now:0.3 (Acceptor_core.Commit_floor { upto = 2 }) in
+  Alcotest.(check int) "a lower floor writes nothing" 0 (List.length (acceptor_writes effs))
 
 (* --- leader ------------------------------------------------------------- *)
 
@@ -283,6 +350,12 @@ let suite =
     Alcotest.test_case "acceptor: p1a promise" `Quick test_acceptor_promise;
     Alcotest.test_case "acceptor: stale p1a nacked" `Quick test_acceptor_stale_nack;
     Alcotest.test_case "acceptor: p2a accept" `Quick test_acceptor_p2a_accept;
+    Alcotest.test_case "acceptor: steady p2a writes one vote" `Quick
+      test_acceptor_p2a_steady_state;
+    Alcotest.test_case "acceptor: higher-ballot p2a writes header first" `Quick
+      test_acceptor_p2a_higher_ballot;
+    Alcotest.test_case "acceptor: commit floor header before drops" `Quick
+      test_acceptor_commit_floor_drops;
     Alcotest.test_case "leader: election" `Quick test_leader_election;
     Alcotest.test_case "leader: propose and choose" `Quick test_leader_propose_and_choose;
     Alcotest.test_case "leader: follower redirects" `Quick test_leader_redirect_when_follower;

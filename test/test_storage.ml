@@ -12,6 +12,8 @@ module Codec = Cp_proto.Codec
 module Types = Cp_proto.Types
 module Ballot = Cp_proto.Ballot
 module Sc = Cp_harness.Storage_conformance
+module Replica = Cp_engine.Replica
+module Acceptor = Cp_engine.Acceptor
 
 (* --- temp dirs ---------------------------------------------------------- *)
 
@@ -89,6 +91,16 @@ let test_codec_roundtrips () =
   (match Codec.decode_acceptor_image (Codec.encode_acceptor_image sample_image) with
   | Ok img -> Alcotest.(check bool) "acceptor image roundtrips" true (img = sample_image)
   | Error e -> Alcotest.fail ("acceptor image: " ^ e));
+  let promised, votes, _ = sample_image in
+  (match Codec.decode_acceptor_image (Codec.encode_acceptor_image (promised, [], 9)) with
+  | Ok img -> Alcotest.(check bool) "vote-free header roundtrips" true (img = (promised, [], 9))
+  | Error e -> Alcotest.fail ("acceptor header: " ^ e));
+  List.iter
+    (fun iv ->
+      match Codec.decode_stable_vote (Codec.encode_stable_vote iv) with
+      | Ok iv' -> Alcotest.(check bool) "vote roundtrips" true (iv = iv')
+      | Error e -> Alcotest.fail ("vote: " ^ e))
+    votes;
   let entries =
     [
       Types.Noop;
@@ -123,22 +135,30 @@ let test_codec_rejects_garbage () =
       (match Codec.decode_acceptor_image s with
       | Ok _ -> Alcotest.fail "garbage decoded as acceptor image"
       | Error _ -> ());
+      (match Codec.decode_stable_vote s with
+      | Ok _ -> Alcotest.fail "garbage decoded as vote"
+      | Error _ -> ());
       match Codec.decode_stable_entry s with
       | Ok _ -> Alcotest.fail "garbage decoded as entry"
       | Error _ -> ())
     [ ""; "\x00"; "\xff\xff\xff"; String.make 64 '\xaa' ];
   (* Wrong version byte: refused, not misparsed. *)
-  let good = Codec.encode_stable_entry Types.Noop in
-  let bad = "\x02" ^ String.sub good 1 (String.length good - 1) in
-  match Codec.decode_stable_entry bad with
-  | Ok _ -> Alcotest.fail "future version decoded"
-  | Error e ->
-    let mentions_version =
-      let n = String.length e and m = String.length "version" in
-      let rec at i = i + m <= n && (String.sub e i m = "version" || at (i + 1)) in
-      at 0
-    in
-    Alcotest.(check bool) "names the version" true mentions_version
+  let future good = "\x02" ^ String.sub good 1 (String.length good - 1) in
+  let check_refused what = function
+    | Ok _ -> Alcotest.fail ("future version decoded as " ^ what)
+    | Error e ->
+      let mentions_version =
+        let n = String.length e and m = String.length "version" in
+        let rec at i = i + m <= n && (String.sub e i m = "version" || at (i + 1)) in
+        at 0
+      in
+      Alcotest.(check bool) (what ^ " error names the version") true mentions_version
+  in
+  check_refused "entry"
+    (Codec.decode_stable_entry (future (Codec.encode_stable_entry Types.Noop)));
+  let _, votes, _ = sample_image in
+  check_refused "vote"
+    (Codec.decode_stable_vote (future (Codec.encode_stable_vote (List.hd votes))))
 
 (* --- WAL: basics, reopen, rotation, compaction -------------------------- *)
 
@@ -309,7 +329,7 @@ let tt_model n =
 
 (* Mutation ops only (flushes append nothing): byte offset of the log after
    each op, from a clean baseline run. *)
-let tt_offsets dir =
+let tt_offsets dir workload =
   let s = Wal.open_dir dir in
   let root = Storage.Packed ((module Wal.View), s) in
   let offsets =
@@ -317,38 +337,114 @@ let tt_offsets dir =
       (fun op ->
         op ();
         (Stable.stats root).Storage.bytes_appended)
-      (tt_workload root)
+      (workload root)
   in
   Stable.close root;
   offsets
 
+(* Crash [workload] after every byte offset of its log and hand each cold
+   reopened store to [check x n store], where [n] counts the ops whose
+   records ended at or before byte [x]. Returns the log's total size. *)
+let sweep_crash_offsets base workload ~check =
+  let offsets = tt_offsets (Filename.concat base "baseline") workload in
+  let total = List.nth offsets (List.length offsets - 1) in
+  for x = 0 to total do
+    let dir = Filename.concat base (Printf.sprintf "c%04d" x) in
+    let plan = Faulty.plan ~crash_after_bytes:x () in
+    let s = Wal.open_dir ~io:(Faulty.io plan) dir in
+    let root = Storage.Packed ((module Wal.View), s) in
+    (try List.iter (fun op -> op ()) (workload root) with Faulty.Crash -> ());
+    (* Simulated power cut: no close, no fsync; reopen cold. *)
+    let r = Wal.store dir in
+    check x (List.length (List.filter (fun off -> off <= x) offsets)) r;
+    Stable.close r
+  done;
+  total
+
+(* Acceptor batches from a real auxiliary core: votes, a promise raised by
+   a vote, compactions. Returns each step's effects with the acceptor it
+   left behind. *)
+let acceptor_batches () =
+  let module State = Cp_engine.State in
+  let module Core = Cp_engine.Core in
+  let initial = Cp_proto.Config.cheap ~f:1 in
+  let t, _ =
+    Core.create ~self:2 ~now:0. ~rng:(Cp_util.Rng.create 9) ~role:State.Aux
+      ~policy:Cheap_paxos.Cheap.policy ~params:Cp_engine.Params.default ~initial
+      ~universe_mains:initial.Cp_proto.Config.mains
+      ~universe_auxes:initial.Cp_proto.Config.aux_pool ~app:(module Cp_smr.Kv)
+      ~recovery:State.fresh_boot
+  in
+  let b0 = Ballot.succ_for Ballot.bottom ~leader:0 in
+  let b1 = Ballot.succ_for b0 ~leader:1 in
+  let p2a ballot instance =
+    let cmd : Types.command =
+      { client = 7; seq = instance + 1; op = Printf.sprintf "PUT k%d v%d" instance instance }
+    in
+    Types.P2a { ballot; instance; entry = Types.App cmd }
+  in
+  [
+    p2a b0 0; p2a b0 1; p2a b0 2; p2a b1 3; Types.CommitFloor { upto = 3 }; p2a b1 4;
+    p2a b1 5; Types.CommitFloor { upto = 5 };
+  ]
+  |> List.map (fun msg ->
+         let _, effects = Core.step t ~now:0.1 (Core.Deliver { src = 0; msg }) in
+         (effects, t.State.acceptor))
+
+let recovered_acceptor store =
+  match (Replica.recover store ~role:Replica.Aux).Cp_engine.State.r_acceptor with
+  | Some acc -> acc
+  | None -> Acceptor.create ()
+
+(* A crash anywhere in an acceptor batch must recover an acceptor that
+   satisfies the invariant, never lowers the floor of the last whole batch,
+   and keeps every vote of that batch at or above the recovered floor. *)
+let check_acceptor_recovery batches x n store =
+  let at what = Printf.sprintf "crash at byte %d: %s" x what in
+  let before = if n = 0 then Acceptor.create () else snd (List.nth batches (n - 1)) in
+  let acc = recovered_acceptor store in
+  let floor = Acceptor.compacted_upto acc in
+  Alcotest.(check bool) (at "invariant") true (Acceptor.invariant acc);
+  Alcotest.(check bool) (at "floor not lowered") true
+    (floor >= Acceptor.compacted_upto before);
+  List.iter
+    (fun (i, v) ->
+      Alcotest.(check bool) (at (Printf.sprintf "vote %d kept" i)) true
+        (Acceptor.vote_at acc i = Some v))
+    (Acceptor.votes_from before ~low:floor);
+  Alcotest.(check bool) (at "no vote record below the floor") true
+    (List.for_all
+       (fun k ->
+         String.length k <= 5
+         || String.sub k 0 5 <> "vote."
+         || int_of_string (String.sub k 5 (String.length k - 5)) >= floor)
+       (Stable.keys store));
+  Alcotest.(check bool) (at "recovery is idempotent") true
+    (Acceptor.export (recovered_acceptor store) = Acceptor.export acc)
+
 let test_wal_torn_tail_every_offset () =
   with_tmpdir (fun base ->
-      let baseline_dir = Filename.concat base "baseline" in
-      let offsets = tt_offsets baseline_dir in
-      let total = List.nth offsets (List.length offsets - 1) in
-      Alcotest.(check bool) "workload appends bytes" true (total > 100);
       (* For a crash after X bytes, the recovered state must be exactly the
          model state after the last op whose record ended at or before X —
          every synced record kept, any torn suffix dropped, no exception. *)
-      for x = 0 to total do
-        let dir = Filename.concat base (Printf.sprintf "c%04d" x) in
-        let plan = Faulty.plan ~crash_after_bytes:x () in
-        let s = Wal.open_dir ~io:(Faulty.io plan) dir in
-        let root = Storage.Packed ((module Wal.View), s) in
-        (try List.iter (fun op -> op ()) (tt_workload root) with Faulty.Crash -> ());
-        (* Simulated power cut: no close, no fsync; reopen cold. *)
-        let r = Wal.store dir in
-        let expected =
-          let rec count i = function
-            | [] -> i
-            | off :: rest -> if off <= x then count (i + 1) rest else i
-          in
-          tt_model (count 0 offsets)
-        in
-        Alcotest.(check kv_list) (Printf.sprintf "crash at byte %d" x) expected (dump r);
-        Stable.close r
-      done)
+      let total =
+        sweep_crash_offsets (Filename.concat base "kv") tt_workload ~check:(fun x n r ->
+            Alcotest.(check kv_list) (Printf.sprintf "crash at byte %d" x) (tt_model n) (dump r))
+      in
+      Alcotest.(check bool) "workload appends bytes" true (total > 100);
+      (* The same sweep over the acceptor's own batches, written and
+         recovered by the replica's stable layout. *)
+      let batches = acceptor_batches () in
+      let workload root =
+        List.map
+          (fun (effects, _) () ->
+            List.iter (Replica.persist root) effects;
+            Stable.flush root)
+          batches
+      in
+      ignore
+        (sweep_crash_offsets (Filename.concat base "acceptor") workload
+           ~check:(check_acceptor_recovery batches)))
 
 let test_wal_short_writes () =
   with_tmpdir (fun base ->
@@ -419,6 +515,45 @@ let test_conformance_mem_vs_wal () =
             (Printf.sprintf "machine %d cold replay" id)
             live (Sc.reopen_dump ~dir id))
         wal.Sc.dumps)
+
+(* --- layout compatibility ------------------------------------------------ *)
+
+(* A WAL written before votes became their own records holds every retained
+   vote inline in the "acceptor" record. It must reopen to the same
+   acceptor, rewritten into the header + per-vote layout. *)
+let test_inline_vote_header_recovers () =
+  with_tmpdir (fun dir ->
+      let promised, votes, floor = sample_image in
+      let s = Wal.store dir in
+      Stable.put s "acceptor" (Codec.encode_acceptor_image sample_image);
+      Stable.flush s;
+      Stable.close s;
+      (* Machine 2 is the f=1 cluster's auxiliary. *)
+      let aux = Wal.store dir in
+      let cluster =
+        Cp_runtime.Cluster.create
+          ~storage:(fun id -> if id = 2 then aux else Stable.create ())
+          ~policy:Cheap_paxos.Cheap.policy ~initial:(Cheap_paxos.Cheap.initial_config ~f:1)
+          ~app:(module Cp_smr.Kv) ()
+      in
+      (* Boot the machines; no message is delivered at time 0. *)
+      Cp_runtime.Cluster.run ~until:0. cluster;
+      let r = Cp_runtime.Cluster.replica cluster 2 in
+      Alcotest.(check int) "vote count" (List.length votes) (Replica.acceptor_vote_count r);
+      Alcotest.(check bool) "promise" true (Ballot.equal promised (Replica.acceptor_promised r));
+      Alcotest.(check int) "floor" floor (Replica.acceptor_floor r);
+      Alcotest.(check bool) "header rewritten without votes" true
+        (Option.map Codec.decode_acceptor_image (Stable.get aux "acceptor")
+        = Some (Ok (promised, [], floor)));
+      Alcotest.(check (list string))
+        "one record per vote"
+        (List.map (fun (i, _) -> "vote." ^ string_of_int i) votes)
+        (List.filter (fun k -> k <> "acceptor") (Stable.keys aux));
+      Stable.close aux;
+      let s = Wal.store dir in
+      Alcotest.(check bool) "rewritten layout reopens to the same acceptor" true
+        (Acceptor.export (recovered_acceptor s) = sample_image);
+      Stable.close s)
 
 (* --- fleet: N groups on one WAL root per machine ------------------------- *)
 
@@ -546,6 +681,8 @@ let suite =
     Alcotest.test_case "wal: short writes" `Quick test_wal_short_writes;
     Alcotest.test_case "wal: garbage tail never raises" `Quick test_wal_garbage_tail;
     Alcotest.test_case "faulty: op-level crash points" `Quick test_faulty_op_level;
+    Alcotest.test_case "compat: inline-vote acceptor record recovers" `Quick
+      test_inline_vote_header_recovers;
     Alcotest.test_case "conformance: mem and wal fingerprint-identical" `Slow
       test_conformance_mem_vs_wal;
     Alcotest.test_case "fleet: groups share one wal root, crash/recover" `Slow
