@@ -50,17 +50,22 @@ let classify = function
   | Span_executed _ -> "span_executed"
   | Span_reset -> "span_reset"
 
-(* Coarse profiler stage per effect class; the interpreter charges each
-   effect's execution time to one of these (see {!Cp_obs.Prof}). *)
+(* Coarse profiler stages, one per effect class: the interpreter resolves
+   each name into a {!Cp_obs.Prof.stage} handle once and charges each
+   effect's execution time to [stages.(stage eff)]. *)
+let stages = [| "exec_send"; "exec_persist"; "exec_timer"; "exec_emit"; "exec_metric"; "exec_span" |]
+
+let persist_stage = 1
+
 let stage = function
-  | Send _ -> "exec_send"
+  | Send _ -> 0
   | Persist_acceptor_header _ | Persist_vote _ | Drop_vote _ | Persist_log _
   | Persist_snapshot _ | Drop_log _ ->
-    "exec_persist"
-  | Set_timer _ -> "exec_timer"
-  | Emit _ -> "exec_emit"
-  | Metric _ | Observe _ -> "exec_metric"
-  | Span_submitted _ | Span_chosen _ | Span_executed _ | Span_reset -> "exec_span"
+    persist_stage
+  | Set_timer _ -> 2
+  | Emit _ -> 3
+  | Metric _ | Observe _ -> 4
+  | Span_submitted _ | Span_chosen _ | Span_executed _ | Span_reset -> 5
 
 let pp ppf = function
   | Send (dst, msg) -> Format.fprintf ppf "send(%d,%a)" dst Types.pp_msg msg

@@ -20,6 +20,8 @@ type t = {
   ctx : Types.msg Engine.ctx;
   spans : Obs.Span.t; (* leader-side submit→chosen→executed latency spans *)
   prof : Obs.Prof.t; (* pipeline profiler: step + per-effect-class timings *)
+  step_stage : Obs.Prof.stage;
+  exec_stages : Obs.Prof.stage array; (* indexed by [Effect.stage] *)
   span_ttl : float; (* expire open spans older than this (shed/dedup leaks) *)
 }
 
@@ -78,6 +80,15 @@ let is_persist (eff : Effect.t) =
     true
   | _ -> false
 
+(* Run each effect in order, charging its time to its class's stage. *)
+let rec execute t = function
+  | [] -> ()
+  | eff :: rest ->
+    let t0 = Obs.Prof.start t.prof in
+    interpret_one t eff;
+    Obs.Prof.charge t.exec_stages.(Effect.stage eff) ~since:t0;
+    execute t rest
+
 (* Group commit: execute the batch, then make its storage mutations durable
    with ONE flush. Acks whose persist rides the same batch reach the wire
    through the transport outbox, which flushes after the handler returns —
@@ -85,15 +96,12 @@ let is_persist (eff : Effect.t) =
    peer can observe its ack, and a pipeline of depth d amortizes the fsync
    d ways instead of paying one per record. *)
 let interpret t effects =
-  if Obs.Prof.enabled t.prof then
-    List.iter
-      (fun eff -> Obs.Prof.time t.prof (Effect.stage eff) (fun () -> interpret_one t eff))
-      effects
-  else List.iter (interpret_one t) effects;
-  if List.exists is_persist effects then
-    if Obs.Prof.enabled t.prof then
-      Obs.Prof.time t.prof "exec_persist" (fun () -> Stable.flush t.ctx.Engine.stable)
-    else Stable.flush t.ctx.Engine.stable
+  execute t effects;
+  if List.exists is_persist effects then begin
+    let t0 = Obs.Prof.start t.prof in
+    Stable.flush t.ctx.Engine.stable;
+    Obs.Prof.charge t.exec_stages.(Effect.persist_stage) ~since:t0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Construction: read the recovery image, build the core               *)
@@ -171,9 +179,7 @@ let create ?exec ctx ~role ~policy ~params ~initial ~universe_mains ~universe_au
   Option.iter (fun a -> Cp_exec.Applier.attach a core.State.app) exec;
   let prof =
     if params.Params.profile then
-      Obs.Prof.create ~clock:ctx.Engine.now
-        ~count:(fun name by -> Metrics.incr ctx.Engine.metrics ~by name)
-        ()
+      Obs.Prof.create ~clock:ctx.Engine.now ~counter:(Metrics.counter ctx.Engine.metrics)
     else Obs.Prof.disabled
   in
   let t =
@@ -183,26 +189,25 @@ let create ?exec ctx ~role ~policy ~params ~initial ~universe_mains ~universe_au
       spans =
         Obs.Span.create ~observe:(fun name v -> Metrics.observe ctx.Engine.metrics name v);
       prof;
+      step_stage = Obs.Prof.stage prof "step";
+      exec_stages = Array.map (Obs.Prof.stage prof) Effect.stages;
       span_ttl = params.Params.span_ttl;
     }
   in
   interpret t effects;
   t
 
+let step t ~now input =
+  let t0 = Obs.Prof.start t.prof in
+  let _, effects = Core.step t.core ~now input in
+  Obs.Prof.charge t.step_stage ~since:t0;
+  interpret t effects
+
 let handlers t =
-  let on_message ~src msg =
-    let now = t.ctx.Engine.now () in
-    let _, effects =
-      Obs.Prof.time t.prof "step" (fun () -> Core.step t.core ~now (Core.Deliver { src; msg }))
-    in
-    interpret t effects
-  in
+  let on_message ~src msg = step t ~now:(t.ctx.Engine.now ()) (Core.Deliver { src; msg }) in
   let on_timer ~tid:_ ~tag =
     let now = t.ctx.Engine.now () in
-    let _, effects =
-      Obs.Prof.time t.prof "step" (fun () -> Core.step t.core ~now (Core.Timer { tag }))
-    in
-    interpret t effects;
+    step t ~now (Core.Timer { tag });
     (* Age out latency spans whose command was shed or deduplicated and so
        will never close; rate-limited inside [expire]. *)
     let dropped = Obs.Span.expire t.spans ~now ~ttl:t.span_ttl in

@@ -51,6 +51,7 @@ type t = {
   mutable threads : Thread.t list;
   start : float;
   metrics : Cp_sim.Metrics.t;
+  decode : Obs.Prof.stage; (* the "decode" profiler stage; guarded by [lock] *)
   trace_ : Obs.Trace.t;
   tctx : Obs.Traceid.t; (* ambient causal trace id; guarded by [lock] *)
   scratch : Codec.scratch; (* guarded by [lock]; senders hold it already *)
@@ -316,8 +317,7 @@ let recv_dispatch_pool t ex ~src ~decode_ns ~(f : Codec.framed) =
           Cp_sim.Metrics.incr t.metrics "mux_unknown_group";
           None
         | Some g ->
-          Cp_sim.Metrics.incr t.metrics ~by:decode_ns "prof.decode.ns";
-          if decode_ns > 0 then Cp_sim.Metrics.incr t.metrics "prof.decode.n";
+          if decode_ns > 0 then Obs.Prof.record t.decode ~ns:decode_ns;
           Cp_sim.Metrics.incr t.metrics "msgs_recv";
           Cp_sim.Metrics.incr t.metrics ~by:len "bytes_recv";
           Cp_sim.Metrics.incr t.metrics ("recv." ^ kind);
@@ -351,8 +351,7 @@ let recv_dispatch_locked t ~src ~decode_ns ~(f : Codec.framed) =
     let msg = f.Codec.f_msg in
     let len = f.Codec.f_bytes in
     let kind = Types.classify msg in
-    Cp_sim.Metrics.incr t.metrics ~by:decode_ns "prof.decode.ns";
-    if decode_ns > 0 then Cp_sim.Metrics.incr t.metrics "prof.decode.n";
+    if decode_ns > 0 then Obs.Prof.record t.decode ~ns:decode_ns;
     Cp_sim.Metrics.incr t.metrics "msgs_recv";
     Cp_sim.Metrics.incr t.metrics ~by:len "bytes_recv";
     Cp_sim.Metrics.incr t.metrics ("recv." ^ kind);
@@ -791,6 +790,10 @@ let create ?(host = "127.0.0.1") ?(trace_capacity = Obs.Trace.default_capacity)
       threads = [];
       start = Unix.gettimeofday ();
       metrics;
+      decode =
+        Obs.Prof.stage
+          (Obs.Prof.create ~clock:Unix.gettimeofday ~counter:(Cp_sim.Metrics.counter metrics))
+          "decode";
       trace_ = Obs.Trace.create ~capacity:trace_capacity ();
       tctx = Obs.Traceid.create ~origin:id;
       scratch = Codec.create_scratch ();

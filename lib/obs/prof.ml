@@ -1,10 +1,15 @@
 (* Pipeline profiler: per-stage wall-time accounting for the runtime loop.
 
-   Each [time t stage f] charges the duration of [f] to [stage] as a pair
-   of counters through the [count] sink — ["prof.<stage>.ns"] (summed
-   nanoseconds) and ["prof.<stage>.n"] (samples) — so stage summaries ride
-   the existing counter plumbing ({!Cp_sim.Metrics}, {!Prom.render}) with
-   O(1) memory, unlike observation series which retain every sample.
+   Each stage is charged as a pair of counters — ["prof.<stage>.ns"]
+   (summed nanoseconds) and ["prof.<stage>.n"] (samples) — so stage
+   summaries ride the existing counter plumbing ({!Cp_sim.Metrics},
+   {!Prom.render}) with O(1) memory, unlike observation series which retain
+   every sample.
+
+   Stages are handles resolved once by their owner. A handle fetches its
+   two counter cells through the [counter] resolver on its first charge and
+   keeps them, so the per-charge cost is two clock reads and two adds: the
+   hot path (one charge per executed effect) builds and hashes no strings.
 
    The clock is injected: the UDP runtime passes wall time, the simulator
    passes virtual time (where handler durations are 0 by construction, so
@@ -13,29 +18,42 @@
 
 type t = {
   clock : unit -> float;
-  count : string -> int -> unit; (* counter sink: (name, increment) *)
+  counter : string -> int ref; (* counter cell by name, created at 0 *)
   enabled : bool;
 }
 
-let create ?(enabled = true) ~clock ~count () = { clock; count; enabled }
+let create ~clock ~counter = { clock; counter; enabled = true }
 
-let disabled = { clock = (fun () -> 0.); count = (fun _ _ -> ()); enabled = false }
+let disabled = { clock = (fun () -> 0.); counter = (fun _ -> ref 0); enabled = false }
 
-let enabled t = t.enabled
+(* [ns]/[n] are placeholders until [bound]: binding on first charge keeps
+   an idle stage out of the counter table. *)
+type stage = {
+  prof : t;
+  name : string;
+  mutable bound : bool;
+  mutable ns : int ref;
+  mutable n : int ref;
+}
 
-let record t stage ~ns =
-  t.count ("prof." ^ stage ^ ".ns") ns;
-  t.count ("prof." ^ stage ^ ".n") 1
+let stage prof name = { prof; name; bound = false; ns = ref 0; n = ref 0 }
 
-let time t stage f =
-  if not t.enabled then f ()
-  else begin
-    let t0 = t.clock () in
-    let r = f () in
-    let dt = t.clock () -. t0 in
-    record t stage ~ns:(int_of_float (dt *. 1e9));
-    r
+let bind h =
+  h.ns <- h.prof.counter ("prof." ^ h.name ^ ".ns");
+  h.n <- h.prof.counter ("prof." ^ h.name ^ ".n");
+  h.bound <- true
+
+let record h ~ns =
+  if h.prof.enabled then begin
+    if not h.bound then bind h;
+    h.ns := !(h.ns) + ns;
+    incr h.n
   end
+
+let start t = if t.enabled then t.clock () else 0.
+
+let charge h ~since =
+  if h.prof.enabled then record h ~ns:(int_of_float ((h.prof.clock () -. since) *. 1e9))
 
 (* "prof.step.ns"/"prof.step.n" -> (stage, n, ns) rows, stage-sorted. *)
 let summarize counters =

@@ -5,10 +5,17 @@ type t = {
 
 let create () = { counters = Hashtbl.create 32; series = Hashtbl.create 8 }
 
+let counter t name =
+  match Hashtbl.find t.counters name with
+  | r -> r
+  | exception Not_found ->
+    let r = ref 0 in
+    Hashtbl.add t.counters name r;
+    r
+
 let incr t ?(by = 1) name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.add t.counters name (ref by)
+  let r = counter t name in
+  r := !r + by
 
 let get t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
@@ -24,10 +31,6 @@ let series t name =
 let counters t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.series
 
 let sum_matching t ~prefix =
   Hashtbl.fold

@@ -10,6 +10,11 @@ val create : unit -> t
 
 val incr : t -> ?by:int -> string -> unit
 
+val counter : t -> string -> int ref
+(** The cell of counter [name], created at 0 if absent. A caller on a hot
+    path resolves it once and bumps it directly; the cell stays the
+    counter's for the life of [t]. *)
+
 val get : t -> string -> int
 (** 0 if the counter was never incremented. *)
 
@@ -21,8 +26,6 @@ val series : t -> string -> float list
 
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
-
-val reset : t -> unit
 
 val sum_matching : t -> prefix:string -> int
 (** Sum of all counters whose name starts with [prefix]. *)

@@ -6,26 +6,40 @@ module Codec = Cp_proto.Codec
    last flush. *)
 type dstbuf = { b_buf : Bytes.t; mutable b_len : int; mutable b_frames : int }
 
+(* [live] holds the buffers appended to since the last flush — it is the
+   dirty set — and [free] the flushed ones, reused for the next new
+   destination. So the outbox holds as many buffers as one flush's widest
+   fan-out, not one per destination ever seen. *)
 type t = {
   cap : int;
   send : dst:int -> Bytes.t -> off:int -> len:int -> unit;
-  bufs : (int, dstbuf) Hashtbl.t;
-  mutable dirty : int list; (* dsts with b_frames > 0, unordered *)
+  live : (int, dstbuf) Hashtbl.t;
+  mutable free : dstbuf list;
 }
 
 let create ?(capacity = 61440) ~send () =
   let cap = min 65507 (max 512 capacity) in
-  { cap; send; bufs = Hashtbl.create 8; dirty = [] }
+  { cap; send; live = Hashtbl.create 8; free = [] }
 
 (* [Hashtbl.find] rather than [find_opt]: the steady-state hit allocates
-   nothing (no [Some] box) — this is once per frame on the wire path. *)
+   nothing (no [Some] box) — this is once per frame on the wire path. A
+   recycled buffer is empty ([flush_buf] reset it) and keeps its marker
+   byte: nothing after a flush writes below offset 1. *)
 let buf_for t dst =
-  match Hashtbl.find t.bufs dst with
+  match Hashtbl.find t.live dst with
   | b -> b
   | exception Not_found ->
-    let b = { b_buf = Bytes.create t.cap; b_len = 1; b_frames = 0 } in
-    Bytes.set b.b_buf 0 Codec.packed_marker;
-    Hashtbl.replace t.bufs dst b;
+    let b =
+      match t.free with
+      | b :: rest ->
+        t.free <- rest;
+        b
+      | [] ->
+        let b = { b_buf = Bytes.create t.cap; b_len = 1; b_frames = 0 } in
+        Bytes.set b.b_buf 0 Codec.packed_marker;
+        b
+    in
+    Hashtbl.add t.live dst b;
     b
 
 let flush_buf t dst b =
@@ -37,24 +51,23 @@ let flush_buf t dst b =
   b.b_len <- 1;
   b.b_frames <- 0
 
+(* The live table is emptied before the first send, so frames a [send]
+   callback appends to other destinations wait for the next flush. *)
 let flush t =
-  match t.dirty with
-  | [] -> ()
-  | dirty ->
-    t.dirty <- [];
+  if Hashtbl.length t.live > 0 then begin
+    let bufs = Hashtbl.fold (fun dst b acc -> (dst, b) :: acc) t.live [] in
+    Hashtbl.reset t.live;
     List.iter
-      (fun dst ->
-        match Hashtbl.find_opt t.bufs dst with
-        | Some b when b.b_frames > 0 -> flush_buf t dst b
-        | _ -> ())
-      (List.sort_uniq compare dirty)
+      (fun (dst, b) ->
+        flush_buf t dst b;
+        t.free <- b :: t.free)
+      (List.sort (fun (a, _) (b, _) -> Int.compare a b) bufs)
+  end
 
-(* The fast path allocates only the (amortized) dirty-list cons: the retry
-   is a tail call rather than a [try]-wrapped closure. After [flush_buf]
-   the buffer is empty ([b_frames = 0]), so a frame that still does not
-   fit fails the [when] guard and Overflow propagates to the caller; the
-   dirty entry for [dst] may linger across the flush — harmless, [flush]
-   skips clean buffers. *)
+(* The retry is a tail call rather than a [try]-wrapped closure. After
+   [flush_buf] the buffer is empty ([b_frames = 0]), so a frame that still
+   does not fit fails the [when] guard and Overflow propagates to the
+   caller; the empty buffer stays live until the next flush recycles it. *)
 let rec append t ~dst ~encode =
   let b = buf_for t dst in
   (* Reserve the 2-byte length slot, encode, then backfill the length. *)
@@ -71,7 +84,6 @@ let rec append t ~dst ~encode =
       let flen = stop - fpos in
       Bytes.set b.b_buf b.b_len (Char.chr (flen land 0xff));
       Bytes.set b.b_buf (b.b_len + 1) (Char.chr ((flen lsr 8) land 0xff));
-      if b.b_frames = 0 then t.dirty <- dst :: t.dirty;
       b.b_len <- stop;
       b.b_frames <- b.b_frames + 1;
       flen
@@ -79,11 +91,6 @@ let rec append t ~dst ~encode =
       flush_buf t dst b;
       append t ~dst ~encode
 
-let pending t =
-  List.length
-    (List.filter
-       (fun dst ->
-         match Hashtbl.find_opt t.bufs dst with
-         | Some b -> b.b_frames > 0
-         | None -> false)
-       (List.sort_uniq compare t.dirty))
+let pending t = Hashtbl.fold (fun _ b n -> if b.b_frames > 0 then n + 1 else n) t.live 0
+
+let buffers t = Hashtbl.length t.live + List.length t.free

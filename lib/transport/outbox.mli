@@ -4,10 +4,16 @@
     fan a [P2a] to every acceptor, commits chase them — and sending each as
     its own datagram costs one syscall per message. An outbox accumulates
     the burst instead: {!append} serializes each frame {e zero-copy} into a
-    preallocated per-destination buffer (packed-datagram layout, see
-    {!Cp_proto.Codec.decode_frames}), and {!flush} hands each dirty buffer
+    per-destination buffer (packed-datagram layout, see
+    {!Cp_proto.Codec.decode_frames}), and {!flush} hands each such buffer
     to the [send] callback once — one syscall per peer per step, iovec-style
     buffer chaining without the iovec.
+
+    Buffers are recycled: a destination holds one only between its first
+    append and the next flush, which returns it to a free list for the
+    next destination. Memory is bounded by one flush's fan-out (at most
+    that many [capacity]-byte buffers), however many destinations — client
+    ids included — the outbox has ever served.
 
     A buffer holding a {e single} frame is flushed bare (packing prefix and
     length header stripped), byte-identical to the unbatched wire format,
@@ -34,8 +40,11 @@ val append : t -> dst:int -> encode:(Bytes.t -> pos:int -> int) -> int
 
 val flush : t -> unit
 (** Transmit every destination buffer with pending frames, in ascending
-    destination order (deterministic), and reset them. No-op when nothing
+    destination order (deterministic), and recycle the buffers. No-op when nothing
     pends — call it unconditionally after every handler invocation. *)
 
 val pending : t -> int
 (** Number of destinations with unflushed frames (for tests). *)
+
+val buffers : t -> int
+(** Number of buffers held, in use or free (for tests). *)

@@ -198,28 +198,34 @@ let test_span_expire () =
 (* Pipeline profiler                                                   *)
 (* ------------------------------------------------------------------ *)
 
+let prof_counters m =
+  List.filter (fun (k, _) -> String.starts_with ~prefix:"prof." k) (Cp_sim.Metrics.counters m)
+
 let test_prof_counters () =
   let clock = ref 0.0 in
-  let counters = Hashtbl.create 8 in
-  let count name by =
-    Hashtbl.replace counters name (by + Option.value ~default:0 (Hashtbl.find_opt counters name))
+  let m = Cp_sim.Metrics.create () in
+  let prof =
+    Obs.Prof.create ~clock:(fun () -> !clock) ~counter:(Cp_sim.Metrics.counter m)
   in
-  let prof = Obs.Prof.create ~clock:(fun () -> !clock) ~count () in
-  let r =
-    Obs.Prof.time prof "step" (fun () ->
-        clock := !clock +. 2e-6;
-        42)
-  in
-  Alcotest.(check int) "time is transparent" 42 r;
-  Obs.Prof.time prof "step" (fun () -> clock := !clock +. 1e-6);
-  Obs.Prof.record prof "decode" ~ns:500;
-  Alcotest.(check int) "samples counted" 2 (Hashtbl.find counters "prof.step.n");
-  Alcotest.(check int) "nanoseconds summed" 3000 (Hashtbl.find counters "prof.step.ns");
-  Alcotest.(check int) "external stage recorded" 500
-    (Hashtbl.find counters "prof.decode.ns");
-  let rows =
-    Obs.Prof.summarize (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters [])
-  in
+  let step = Obs.Prof.stage prof "step" and decode = Obs.Prof.stage prof "decode" in
+  Alcotest.(check int) "handles touch no counter" 0 (List.length (prof_counters m));
+  let t0 = Obs.Prof.start prof in
+  clock := !clock +. 2e-6;
+  Obs.Prof.charge step ~since:t0;
+  let t0 = Obs.Prof.start prof in
+  clock := !clock +. 1e-6;
+  Obs.Prof.charge step ~since:t0;
+  Obs.Prof.record decode ~ns:500;
+  Alcotest.(check int) "samples counted" 2 (Cp_sim.Metrics.get m "prof.step.n");
+  Alcotest.(check int) "nanoseconds summed" 3000 (Cp_sim.Metrics.get m "prof.step.ns");
+  Alcotest.(check int) "external stage recorded" 500 (Cp_sim.Metrics.get m "prof.decode.ns");
+  Alcotest.(check int) "external stage sampled" 1 (Cp_sim.Metrics.get m "prof.decode.n");
+  (* A stage bound to counters another writer already bumps adds to them. *)
+  Cp_sim.Metrics.incr m ~by:7 "prof.decode.ns";
+  Obs.Prof.record decode ~ns:3;
+  Alcotest.(check int) "handle shares the counter cell" 510
+    (Cp_sim.Metrics.get m "prof.decode.ns");
+  let rows = Obs.Prof.summarize (Cp_sim.Metrics.counters m) in
   Alcotest.(check bool) "summarize finds both stages" true
     (List.map (fun (s, _, _) -> s) rows = [ "decode"; "step" ]);
   (match List.assoc_opt "step" (List.map (fun (s, n, ns) -> (s, (n, ns))) rows) with
@@ -227,9 +233,7 @@ let test_prof_counters () =
     Alcotest.(check int) "row samples" 2 n;
     Alcotest.(check int) "row total" 3000 ns
   | None -> Alcotest.fail "no step row");
-  let rendered =
-    Obs.Prof.render (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters [])
-  in
+  let rendered = Obs.Prof.render (Cp_sim.Metrics.counters m) in
   Alcotest.(check bool) "render mentions stage" true (contains rendered "step");
   Alcotest.(check bool) "render is a comment block" true
     (String.length rendered > 0 && rendered.[0] = '#');
@@ -237,8 +241,60 @@ let test_prof_counters () =
 
 let test_prof_disabled () =
   let prof = Obs.Prof.disabled in
-  Alcotest.(check bool) "disabled" false (Obs.Prof.enabled prof);
-  Alcotest.(check int) "time still runs f" 7 (Obs.Prof.time prof "x" (fun () -> 7))
+  Alcotest.(check (float 0.)) "start reads no clock" 0. (Obs.Prof.start prof);
+  let h = Obs.Prof.stage prof "x" in
+  Obs.Prof.charge h ~since:(Obs.Prof.start prof);
+  Obs.Prof.record h ~ns:5
+
+(* The per-effect hot path: once bound, a stage handle allocates nothing
+   per charge under a clock that does not allocate. *)
+let test_prof_charge_allocates_nothing () =
+  let m = Cp_sim.Metrics.create () in
+  let prof = Obs.Prof.create ~clock:(fun () -> 0.) ~counter:(Cp_sim.Metrics.counter m) in
+  let h = Obs.Prof.stage prof "exec_send" in
+  Obs.Prof.charge h ~since:(Obs.Prof.start prof);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Obs.Prof.charge h ~since:(Obs.Prof.start prof)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 10,000 charges" 0. words;
+  Alcotest.(check int) "every charge sampled" 10_001 (Cp_sim.Metrics.get m "prof.exec_send.n")
+
+(* A seeded simulated run pins the replicas' stage names and call counts:
+   on the virtual clock every duration is 0, so the profile is exactly the
+   number of steps and of effects per class. The auxiliary never runs. *)
+let test_prof_sim_counts () =
+  let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
+  let cluster =
+    Cp_runtime.Cluster.create ~seed:7 ~policy:Cheap_paxos.Cheap.policy ~initial
+      ~app:(module Cp_smr.Counter) ()
+  in
+  let ops = Cp_workload.Workload.counter_ops ~count:20 in
+  let _, client = Cp_runtime.Cluster.add_client cluster ~ops () in
+  Alcotest.(check bool) "finished" true
+    (Cp_runtime.Cluster.run_until cluster ~deadline:5. (fun () ->
+         Cp_smr.Client.is_finished client));
+  let profile id =
+    prof_counters (Cp_sim.Engine.metrics (Cp_runtime.Cluster.engine cluster) id)
+  in
+  let expect calls =
+    List.concat_map
+      (fun (stage, n) -> [ ("prof." ^ stage ^ ".n", n); ("prof." ^ stage ^ ".ns", 0) ])
+      calls
+  in
+  let pair = Alcotest.(list (pair string int)) in
+  Alcotest.check pair "leader main"
+    (expect
+       [ ("exec_emit", 64); ("exec_metric", 145); ("exec_persist", 82); ("exec_send", 63);
+         ("exec_span", 61); ("exec_timer", 10); ("step", 52) ])
+    (profile 0);
+  Alcotest.check pair "follower main"
+    (expect
+       [ ("exec_emit", 20); ("exec_metric", 83); ("exec_persist", 82); ("exec_send", 23);
+         ("exec_span", 20); ("exec_timer", 10); ("step", 52) ])
+    (profile 1);
+  Alcotest.check pair "auxiliary" [] (profile 2)
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus rendering                                                *)
@@ -441,6 +497,9 @@ let suite =
     Alcotest.test_case "span expire drops stale entries" `Quick test_span_expire;
     Alcotest.test_case "profiler counters" `Quick test_prof_counters;
     Alcotest.test_case "profiler disabled" `Quick test_prof_disabled;
+    Alcotest.test_case "profiler charge allocates nothing" `Quick
+      test_prof_charge_allocates_nothing;
+    Alcotest.test_case "profiler sim counts" `Quick test_prof_sim_counts;
     Alcotest.test_case "prometheus render" `Quick test_prom_render;
     Alcotest.test_case "prometheus sanitize" `Quick test_prom_sanitize;
     Alcotest.test_case "checker: aux quiescence" `Quick test_checker_aux_quiescent;

@@ -178,6 +178,51 @@ let test_outbox_giant_frame_overflows () =
   Outbox.flush ob;
   Alcotest.(check int) "normal frame still goes out" 1 (List.length !sent)
 
+(* Buffers live only until the next flush: a sender that meets a new
+   destination every step (a client id per request) keeps one buffer, not
+   one per destination ever seen. *)
+let test_outbox_recycles_buffers () =
+  let sent, send = mk_capture () in
+  let ob = Outbox.create ~send () in
+  for dst = 1 to 1000 do
+    ignore (append_traced ob ~dst ~tid:dst (hb dst));
+    Outbox.flush ob
+  done;
+  Alcotest.(check int) "one datagram per destination" 1000 (List.length !sent);
+  Alcotest.(check int) "at most one buffer held" 1 (Outbox.buffers ob);
+  (* A recycled buffer keeps the exact wire layouts: a lone frame bare, a
+     burst packed as marker then (2-byte little-endian length, frame)*. *)
+  sent := [];
+  ignore (append_traced ob ~dst:2000 ~tid:5 (hb 5));
+  Outbox.flush ob;
+  ignore (append_traced ob ~dst:3000 ~tid:6 (hb 6));
+  ignore (append_traced ob ~dst:3000 ~tid:7 (hb 7));
+  Outbox.flush ob;
+  let packed frames =
+    String.make 1 Codec.packed_marker
+    ^ String.concat ""
+        (List.map
+           (fun f ->
+             let n = String.length f in
+             String.init 2 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff)) ^ f)
+           frames)
+  in
+  Alcotest.(check (list (pair int string)))
+    "reused buffer: lone frame bare, burst packed"
+    [
+      (2000, Codec.encode_traced ~tid:5 (hb 5));
+      (3000, packed [ Codec.encode_traced ~tid:6 (hb 6); Codec.encode_traced ~tid:7 (hb 7) ]);
+    ]
+    (List.rev !sent);
+  Alcotest.(check int) "still one buffer" 1 (Outbox.buffers ob);
+  (* A wider burst keeps one buffer per destination in it, flushed in
+     ascending order, and no more afterwards. *)
+  sent := [];
+  List.iter (fun dst -> ignore (append_traced ob ~dst ~tid:dst (hb dst))) [ 9; 3; 6 ];
+  Outbox.flush ob;
+  Alcotest.(check (list int)) "ascending flush order" [ 3; 6; 9 ] (List.rev_map fst !sent);
+  Alcotest.(check int) "buffers bounded by the widest flush" 3 (Outbox.buffers ob)
+
 (* --- conformance ------------------------------------------------------- *)
 
 let read_file path =
@@ -290,6 +335,8 @@ let suite =
       test_outbox_overflow_flush_retry;
     Alcotest.test_case "outbox: oversized frame raises Overflow" `Quick
       test_outbox_giant_frame_overflows;
+    Alcotest.test_case "outbox: flushed buffers are recycled" `Quick
+      test_outbox_recycles_buffers;
     Alcotest.test_case "conformance: sim matches committed golden" `Quick
       test_conformance_sim_golden;
     Alcotest.test_case "conformance: ring byte-identical to sim" `Quick test_conformance_ring;
