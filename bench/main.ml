@@ -1045,7 +1045,6 @@ let write_wire_snapshot () =
 let write_storage_snapshot () =
   let module Storage = Cp_storage.Storage in
   let module Wal = Cp_storage.Wal in
-  let module Stable = Cp_sim.Stable in
   let base =
     let p = Filename.temp_file "cp_bench_storage" "" in
     Unix.unlink p;
@@ -1069,12 +1068,12 @@ let write_storage_snapshot () =
   let s = Wal.store per_record_dir in
   let t0 = Unix.gettimeofday () in
   for i = 0 to ops - 1 do
-    Stable.put s (Printf.sprintf "log.%d" (i mod 256)) (payload i);
-    Stable.flush s
+    Storage.put s (Printf.sprintf "log.%d" (i mod 256)) (payload i);
+    Storage.flush s
   done;
   let per_record_s = Unix.gettimeofday () -. t0 in
-  let a = Stable.stats s in
-  Stable.close s;
+  let a = Storage.stats s in
+  Storage.close s;
   (* Mode B: group commit — the interpreter's one flush per effect batch. *)
   let group_dir = Filename.concat base "group" in
   let s = Wal.store group_dir in
@@ -1082,14 +1081,14 @@ let write_storage_snapshot () =
   for b = 0 to batches - 1 do
     for j = 0 to depth - 1 do
       let i = (b * depth) + j in
-      Stable.put s (Printf.sprintf "log.%d" (i mod 256)) (payload i)
+      Storage.put s (Printf.sprintf "log.%d" (i mod 256)) (payload i)
     done;
-    Stable.flush s
+    Storage.flush s
   done;
   let group_s = Unix.gettimeofday () -. t0 in
-  let g = Stable.stats s in
+  let g = Storage.stats s in
   let live_bytes = g.Storage.bytes_used in
-  Stable.close s;
+  Storage.close s;
   let a_per_op = float_of_int a.Storage.fsyncs /. float_of_int ops in
   let g_per_op = float_of_int g.Storage.fsyncs /. float_of_int ops in
   let fsync_ratio = a_per_op /. Float.max g_per_op 1e-9 in
@@ -1106,10 +1105,10 @@ let write_storage_snapshot () =
   let disk_amplification = float_of_int (disk_bytes group_dir) /. float_of_int live_bytes in
   (* Cold recovery: reopen the group-commit directory, real segment replay. *)
   let s = Wal.store group_dir in
-  let r = Stable.stats s in
-  let recovered = List.length (Stable.keys s) in
+  let r = Storage.stats s in
+  let recovered = List.length (Storage.keys s) in
   let recovery_ms = r.Storage.recovery_ms in
-  Stable.close s;
+  Storage.close s;
   let recovery_ok = recovered = 256 in
   (* Torn tail: cut the power mid-stream at a byte offset (not a record
      boundary) and require recovery to a clean prefix, no exception. *)
@@ -1121,15 +1120,15 @@ let write_storage_snapshot () =
   in
   (try
      for i = 0 to ops - 1 do
-       Stable.put s (Printf.sprintf "log.%d" (i mod 256)) (payload i);
-       if i mod depth = depth - 1 then Stable.flush s
+       Storage.put s (Printf.sprintf "log.%d" (i mod 256)) (payload i);
+       if i mod depth = depth - 1 then Storage.flush s
      done
    with Cp_storage.Faulty.Crash -> ());
   let torn_ok =
     match Wal.store torn_dir with
     | s ->
-      let n = List.length (Stable.keys s) in
-      Stable.close s;
+      let n = List.length (Storage.keys s) in
+      Storage.close s;
       n > 0 && n <= 256
     | exception _ -> false
   in

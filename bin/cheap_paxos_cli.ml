@@ -109,7 +109,7 @@ let print_storage_summary spec engine ids =
   match spec with
   | `Mem -> ()
   | `Wal dir ->
-    let stats = List.map (fun id -> Cp_sim.Stable.stats (Cp_sim.Engine.stable engine id)) ids in
+    let stats = List.map (fun id -> Cp_storage.Storage.stats (Cp_sim.Engine.stable engine id)) ids in
     let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
     Printf.printf
       "storage: wal at %s — fsyncs=%d appended=%d bytes live=%d bytes segments=%d\n" dir
@@ -407,14 +407,11 @@ let run_node id f base_port admin_port exec_domains storage =
                                     (Printf.sprintf "g%d" gid))))
   in
   let node =
-    Cp_netio.Node.create ?admin_port ?storage:node_storage ~exec_domains
+    Cp_netio.Node.create ?admin_port ?storage:node_storage
       ~port_of:(fun i -> base_port + i)
       ~id_of_port:(fun p -> p - base_port)
       ~id ~seed:(Unix.getpid ())
       ~build:(fun ctx ->
-        (* The applier runs on the process-shared pool, distinct from the
-           node's private dispatch pool, so a handler fanning a window out
-           never waits on its own worker. *)
         let exec =
           if role = Cp_engine.Replica.Main && exec_domains > 1 then
             Some
@@ -437,8 +434,8 @@ let run_node id f base_port admin_port exec_domains storage =
     (match admin_port with
     | Some p -> Printf.sprintf ", admin http on tcp/127.0.0.1:%d" p
     | None -> "")
-    (if exec_domains > 1 then
-       Printf.sprintf ", parallel dispatch+apply on %d domains" exec_domains
+    (if role = Cp_engine.Replica.Main && exec_domains > 1 then
+       Printf.sprintf ", parallel apply on %d domains" exec_domains
      else "");
   (match storage with
   | `Mem -> ()
@@ -469,10 +466,10 @@ let node_cmd =
       & opt int 0
       & info [ "exec-domains" ] ~docv:"N"
           ~doc:
-            "With $(docv) > 1: dispatch this node's groups on a private pool of \
-             $(docv) worker domains and (on mains) execute chosen commands through \
-             the conflict-aware parallel applier at that width. Default 0 keeps \
-             the single-mutex runtime.")
+            "With $(docv) > 1 (mains only): execute chosen commands through the \
+             conflict-aware parallel applier, $(docv) domains wide. Handlers \
+             still run one at a time under the node's mutex. Default 0 applies \
+             commands serially.")
   in
   Cmd.v (Cmd.info "node" ~doc)
     Term.(

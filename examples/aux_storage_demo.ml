@@ -9,7 +9,7 @@ module Cluster = Cp_runtime.Cluster
 module Faults = Cp_runtime.Faults
 module Client = Cp_smr.Client
 module Engine = Cp_sim.Engine
-module Stable = Cp_sim.Stable
+module Storage = Cp_storage.Storage
 
 let () =
   let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
@@ -35,8 +35,8 @@ let () =
     if at < 3.0 then
       Engine.at eng at (fun () ->
           Printf.printf "%5.2fs  %9d  %10d  %12d\n" at (Client.done_count client)
-            (Stable.bytes_used (Engine.stable eng aux))
-            (Stable.bytes_used (Engine.stable eng 0));
+            (Storage.bytes_used (Engine.stable eng aux))
+            (Storage.bytes_used (Engine.stable eng 0));
           probe (at +. 0.2))
   in
   probe 0.2;
@@ -46,7 +46,7 @@ let () =
   in
   Printf.printf "finished=%b committed=%d\n" finished (Client.done_count client);
   Printf.printf "final aux stable bytes: %d (log lives only on the mains)\n"
-    (Stable.bytes_used (Engine.stable eng aux));
+    (Storage.bytes_used (Engine.stable eng aux));
   match Cp_runtime.Inspect.check_safety cluster with
   | Ok () -> print_endline "safety check: OK"
   | Error e -> failwith e

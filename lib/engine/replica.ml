@@ -9,7 +9,7 @@
 
 open Cp_proto
 module Engine = Cp_sim.Engine
-module Stable = Cp_sim.Stable
+module Storage = Cp_storage.Storage
 module Metrics = Cp_sim.Metrics
 module Obs = Cp_obs
 
@@ -34,9 +34,9 @@ let log_key i = "log." ^ string_of_int i
 let vote_key i = "vote." ^ string_of_int i
 
 let put_acceptor_header stable ~promised ~floor =
-  Stable.put stable "acceptor" (Codec.encode_acceptor_image (promised, [], floor))
+  Storage.put stable "acceptor" (Codec.encode_acceptor_image (promised, [], floor))
 
-let put_vote stable i vote = Stable.put stable (vote_key i) (Codec.encode_stable_vote (i, vote))
+let put_vote stable i vote = Storage.put stable (vote_key i) (Codec.encode_stable_vote (i, vote))
 
 (* The stable layout: the record(s) each persistence effect writes, through
    the typed stable-record codecs, not [Marshal] — the store sees only bytes
@@ -47,12 +47,12 @@ let persist stable (eff : Effect.t) =
   | Effect.Persist_acceptor_header { promised; floor } ->
     put_acceptor_header stable ~promised ~floor
   | Effect.Persist_vote (i, vote) -> put_vote stable i vote
-  | Effect.Drop_vote i -> Stable.remove stable (vote_key i)
+  | Effect.Drop_vote i -> Storage.remove stable (vote_key i)
   | Effect.Persist_log (i, entry) ->
-    Stable.put stable (log_key i) (Codec.encode_stable_entry entry)
+    Storage.put stable (log_key i) (Codec.encode_stable_entry entry)
   | Effect.Persist_snapshot snap ->
-    Stable.put stable "snapshot" (Codec.encode_stable_snapshot snap)
-  | Effect.Drop_log i -> Stable.remove stable (log_key i)
+    Storage.put stable "snapshot" (Codec.encode_stable_snapshot snap)
+  | Effect.Drop_log i -> Storage.remove stable (log_key i)
   | Effect.Send _ | Effect.Set_timer _ | Effect.Emit _ | Effect.Metric _ | Effect.Observe _
   | Effect.Span_submitted _ | Effect.Span_chosen _ | Effect.Span_executed _
   | Effect.Span_reset ->
@@ -99,7 +99,7 @@ let interpret t effects =
   execute t effects;
   if List.exists is_persist effects then begin
     let t0 = Obs.Prof.start t.prof in
-    Stable.flush t.ctx.Engine.stable;
+    Storage.flush t.ctx.Engine.stable;
     Obs.Prof.charge t.exec_stages.(Effect.persist_stage) ~since:t0
   end
 
@@ -112,7 +112,7 @@ let interpret t effects =
    absent rather than crashing the replica — the protocol then behaves as
    if that write never became durable, which is the safe direction. *)
 let get_decoded stable key decode =
-  match Stable.get stable key with
+  match Storage.get stable key with
   | None -> None
   | Some bytes -> ( match decode bytes with Ok v -> Some v | Error _ -> None)
 
@@ -145,18 +145,18 @@ let recover_acceptor stable keys =
       |> List.filter_map (fun (i, (j, v)) -> if i = j then Some (i, v) else None)
     in
     let stale, live = List.partition (fun (i, _) -> i < floor) records in
-    List.iter (fun (i, _) -> Stable.remove stable (vote_key i)) stale;
+    List.iter (fun (i, _) -> Storage.remove stable (vote_key i)) stale;
     let acc = Acceptor.import (promised, inline @ live, floor) in
     if inline <> [] then begin
       List.iter (fun (i, v) -> put_vote stable i v) (Acceptor.votes_from acc ~low:floor);
       put_acceptor_header stable ~promised ~floor
     end;
-    if stale <> [] || inline <> [] then Stable.flush stable;
+    if stale <> [] || inline <> [] then Storage.flush stable;
     Some acc
 
 let recover stable ~role =
-  let keys = Stable.keys stable in
-  let r_had_state = Stable.mem stable "acceptor" in
+  let keys = Storage.keys stable in
+  let r_had_state = Storage.mem stable "acceptor" in
   let r_acceptor = recover_acceptor stable keys in
   {
     State.r_acceptor;

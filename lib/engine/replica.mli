@@ -49,12 +49,12 @@ val handlers : t -> Types.msg Cp_sim.Engine.handlers
 
 (** {1 Stable layout} *)
 
-val persist : Cp_sim.Stable.t -> Effect.t -> unit
+val persist : Cp_storage.Storage.t -> Effect.t -> unit
 (** Write the record a persistence effect stands for, without flushing; any
     other effect is ignored. The acceptor is a header ["acceptor"] holding
     (promise, floor) plus one ["vote.<i>"] record per retained vote. *)
 
-val recover : Cp_sim.Stable.t -> role:role -> State.recovery
+val recover : Cp_storage.Storage.t -> role:role -> State.recovery
 (** Read the recovery image {!create} starts from. An acceptor header that
     still carries votes inline (the layout before per-vote records) is
     rewritten into the current layout, and vote records below the floor

@@ -10,7 +10,7 @@
    - timers go into one shared {!Wheel}; the mux keeps at most ONE timer
      registered with the engine (armed at the wheel's next deadline), so
      engine-side timer load is O(1) in the group count instead of O(N);
-   - stable storage is a {!Cp_sim.Stable.sub} view ("g<gid>"), so all
+   - stable storage is a {!Cp_storage.Storage.sub} view ("g<gid>"), so all
      groups share the machine's disk and its crash/restart lifetime;
    - timer-driven causal chains are minted from a per-group namespaced
      origin ({!Cp_obs.Traceid.namespace}) and re-pointed onto the node's
@@ -23,7 +23,7 @@
 
 open Cp_proto
 module Engine = Cp_sim.Engine
-module Stable = Cp_sim.Stable
+module Storage = Cp_storage.Storage
 module Metrics = Cp_sim.Metrics
 module Replica = Cp_engine.Replica
 module Rng = Cp_util.Rng
@@ -101,7 +101,7 @@ let make_group_ctx t ~gid =
     (* One machine disk, one namespace per hosted group. The view's write
        counters live in the backend keyed by resolved prefix, so re-deriving
        "g<gid>" (e.g. on a rebuild) keeps the group's storage accounting. *)
-    stable = Stable.sub outer.Engine.stable ~name:("g" ^ string_of_int gid);
+    stable = Storage.sub outer.Engine.stable ~name:("g" ^ string_of_int gid);
     metrics = Metrics.create ();
     emit = outer.Engine.emit;
     tctx = Obs.Traceid.create ~origin:(Obs.Traceid.namespace ~node:outer.Engine.self ~group:gid);

@@ -4,7 +4,7 @@
     per-group [Engine.ctx]: sends are tagged [(gid, msg)] onto the shared
     transport, timers share one {!Wheel} behind a {e single} engine timer
     (O(1) engine-side timer load however many groups are hosted), stable
-    storage is a per-group {!Cp_sim.Stable.sub} view of the machine's disk,
+    storage is a per-group {!Cp_storage.Storage.sub} view of the machine's disk,
     and timer-driven causal chains mint from the group's
     {!Cp_obs.Traceid.namespace}d origin. Messages for unknown group ids
     are counted ([mux_unknown_group]) and dropped. *)

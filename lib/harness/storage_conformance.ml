@@ -3,7 +3,7 @@
    backends must leave every replica in the SAME protocol state.
 
    The replica never sees the backend: the effect interpreter writes typed
-   stable records through {!Cp_sim.Stable} and recovery decodes them back,
+   stable records through {!Cp_storage.Storage} and recovery decodes them back,
    so swapping the in-memory table for the group-commit WAL must change
    nothing observable. The check is {!Cp_engine.Replica.fingerprint} — a
    canonical digest of acceptor, log, executed state, sessions, and config
@@ -12,7 +12,7 @@
    real replay) and checked against what the live run left behind. *)
 
 module Engine = Cp_sim.Engine
-module Stable = Cp_sim.Stable
+module Storage = Cp_storage.Storage
 module Replica = Cp_engine.Replica
 module Cluster = Cp_runtime.Cluster
 
@@ -28,9 +28,9 @@ type outcome = {
 }
 
 let dump stable =
-  Stable.keys stable
+  Storage.keys stable
   |> List.map (fun k ->
-         match Stable.get stable k with
+         match Storage.get stable k with
          | Some v -> (k, v)
          | None -> (k, "") (* unreachable: keys only lists live keys *))
 
@@ -80,7 +80,7 @@ let wal_factory ?segment_max ?compact_min ~dir () =
     handles := s :: !handles;
     s
   in
-  let close_all () = List.iter (fun s -> try Stable.close s with _ -> ()) !handles in
+  let close_all () = List.iter (fun s -> try Storage.close s with _ -> ()) !handles in
   (factory, close_all)
 
 (* Cold recovery: open machine [id]'s WAL directory with a fresh handle —
@@ -88,5 +88,5 @@ let wal_factory ?segment_max ?compact_min ~dir () =
 let reopen_dump ~dir id =
   let s = Cp_storage.Wal.store (Filename.concat dir (Printf.sprintf "n%d" id)) in
   let d = dump s in
-  Stable.close s;
+  Storage.close s;
   d

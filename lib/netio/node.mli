@@ -2,12 +2,17 @@
     {!Cp_sim.Engine.ctx} — replicas, clients — over actual UDP sockets.
 
     The simulator's [ctx] is just a record of capabilities, so this module
-    fabricates one backed by the operating system instead of the event
-    queue: [send] encodes with {!Cp_proto.Codec} and writes a datagram,
-    [set_timer] goes through a per-node timer thread, [now] is wall-clock
-    time, and a receiver thread decodes datagrams and invokes the handlers.
-    One mutex per node serializes handler execution, matching the
-    simulator's run-to-completion semantics.
+    builds one per hosted group, backed by the operating system instead of
+    the event queue: [send] serializes zero-copy into per-destination
+    outbox buffers ({!Cp_transport.Outbox}) and the burst each handler
+    invocation emits is flushed as one datagram per destination
+    (single-frame flushes stay byte-identical to the unbatched format);
+    [set_timer] goes through a timer thread, [now] is wall-clock time, and
+    a receiver thread decodes datagrams and invokes the handlers. One mutex
+    per node serializes handler execution, matching the simulator's
+    run-to-completion semantics. Wire-path health is observable via the
+    [wire_syscalls], [wire_bytes], [wire_copies], [send_retries], and
+    [send_drops] counters.
 
     UDP gives exactly the failure model the protocol is built for: loss,
     duplication, reordering. Nodes address each other by node id through a
@@ -17,28 +22,12 @@
 
 type t
 
-type handle
-(** One hosted group on one node — the endpoint handle of the UDP
-    transport instance below. *)
-
-module Udp_transport : Cp_transport.Transport.S with type t = handle
-(** The UDP runtime expressed as a transport instance: the ctx handed to
-    [build] is {!Cp_transport.Transport.ctx} over this module, so the UDP
-    node, the simulator, and the in-process ring fabric are interchangeable
-    behind one signature. Sends serialize zero-copy into per-destination
-    outbox buffers ({!Cp_transport.Outbox}) and the burst each handler
-    invocation emits is flushed as one datagram per destination
-    (single-frame flushes stay byte-identical to the unbatched format).
-    Wire-path health is observable via the [wire_syscalls], [wire_bytes],
-    [wire_copies], [send_retries], and [send_drops] counters. *)
-
 val create :
   ?host:string ->
   ?trace_capacity:int ->
   ?admin_port:int ->
   ?wheel_tick:float ->
-  ?exec_domains:int ->
-  ?storage:(int -> Cp_sim.Stable.t) ->
+  ?storage:(int -> Cp_storage.Storage.t) ->
   port_of:(int -> int) ->
   id_of_port:(int -> int) ->
   id:int ->
@@ -69,19 +58,9 @@ val create :
     binds a TCP listener on [host:admin_port] serving a minimal HTTP
     endpoint — see {!admin_response}.
 
-    [exec_domains] (default 0) selects the dispatch runtime. At [<= 1] the
-    node keeps the original single-mutex runtime: one lock serializes every
-    handler, byte-identical behaviour to previous releases. At [> 1] the
-    node starts a private {!Cp_exec.Pool} of up to that many worker domains
-    and routes each group's handlers to worker [gid mod domains]: per-worker
-    FIFO queues keep every group strictly serialized in arrival order (the
-    engine's run-to-completion contract, per group), while distinct groups
-    execute concurrently on distinct domains. Each group then owns private
-    metrics, codec scratch, and ambient trace context under its own lock;
-    {!metrics_text} and {!counter} merge them back into node totals and add
-    [exec.domain<i>.busy_ns] / [exec.domain<i>.tasks] utilization counters
-    from the pool. On the pre-OCaml-5 backend the pool has no workers and
-    dispatch degrades to inline execution — same semantics, one domain. *)
+    If [build] raises, both sockets, the stores it opened and the lock are
+    released before the exception propagates, so the ports can be bound
+    again. *)
 
 val add_group : t -> gid:int -> build:(Cp_proto.Types.msg Cp_sim.Engine.ctx -> Cp_proto.Types.msg Cp_sim.Engine.handlers) -> unit
 (** Host an additional replica group on this node's socket, timer wheel,
@@ -89,7 +68,7 @@ val add_group : t -> gid:int -> build:(Cp_proto.Types.msg Cp_sim.Engine.ctx -> C
     the ungrouped (pre-fleet) frame format; groups added here must have
     [gid > 0] and exchange grouped frames ({!Cp_proto.Codec.encode_grouped})
     with the same [gid] on their peers. Each group gets its own RNG stream,
-    in-memory stable store, and a namespaced trace-id origin
+    store ([storage gid], see {!create}), and a namespaced trace-id origin
     ({!Cp_obs.Traceid.namespace}), so {!Cp_obs.Timeline} joins distinguish
     co-hosted groups. Datagrams for group ids never added are counted
     ([mux_unknown_group]) and dropped. *)
@@ -103,34 +82,17 @@ val shutdown : t -> unit
 
 val with_lock : t -> (unit -> 'a) -> 'a
 (** Run [f] under the node's handler mutex — for inspecting protocol state
-    owned by the node (e.g. a client handle) without racing its threads.
-    Under [exec_domains > 1] handlers run under per-group locks instead;
-    use {!with_group} to inspect a group's protocol state. *)
-
-val with_group : t -> gid:int -> (unit -> 'a) -> 'a
-(** Run [f] under the lock that serializes group [gid]'s handlers — the
-    node mutex in single-lock mode, the group's own lock in pool mode.
-    Raises [Invalid_argument] for a gid never added. *)
-
-val parallel_dispatch : t -> bool
-(** Whether this node runs the pool dispatch runtime ([exec_domains > 1]). *)
+    owned by the node (e.g. a client handle) without racing its threads. *)
 
 val metrics : t -> Cp_sim.Metrics.t
 (** The node's metric store. The runtime feeds the same counters as the
     simulator's delivery path ([msgs_sent], [msgs_recv], [bytes_*],
     [sent.<kind>], [recv.<kind>]); protocol code adds its own through the
-    ctx. Take {!with_lock} before reading while threads are live. In pool
-    mode this store only holds the receive-path counters — use {!counter}
-    or {!group_metrics} for handler-side numbers. *)
+    ctx. Take {!with_lock} before reading while threads are live. *)
 
 val counter : t -> string -> int
-(** One counter's node-wide total: the node store plus (in pool mode) every
-    group store, plus the pool's [exec.*] utilization counters. *)
-
-val group_metrics : t -> int -> Cp_sim.Metrics.t
-(** Group [gid]'s metric store — the node store itself in single-lock mode,
-    the group's private store in pool mode. Take {!with_group} before
-    reading while threads are live. *)
+(** One counter's current value, taken under the node's lock: a {!metrics}
+    counter or a hosted store's storage counter (see {!metrics_text}). *)
 
 val trace : t -> Cp_obs.Trace.t
 (** The node's bounded event-trace ring, fed by the ctx [emit] and by a

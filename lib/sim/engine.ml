@@ -9,7 +9,7 @@ type 'm ctx = {
   set_timer : ?tag:string -> float -> int;
   cancel_timer : int -> unit;
   rng : Rng.t;
-  stable : Stable.t;
+  stable : Cp_storage.Storage.t;
   metrics : Metrics.t;
   emit : Obs.Event.t -> unit;
   tctx : Obs.Traceid.t;
@@ -28,7 +28,7 @@ type 'm node = {
   mutable busy_until : float; (* single-CPU service model; see [proc_time] *)
   cancelled : (int, unit) Hashtbl.t;
   node_rng : Rng.t;
-  node_stable : Stable.t;
+  node_stable : Cp_storage.Storage.t;
   node_metrics : Metrics.t;
   node_trace : Obs.Trace.t;
   node_tctx : Obs.Traceid.t; (* ambient trace id; survives restarts *)
@@ -58,7 +58,7 @@ type 'm t = {
   trace_capacity : int;
   obs : bool; (* tracing on: rings, trace ids, hook; metrics stay on *)
   fresh_trace : 'm -> bool; (* messages that start a new causal chain *)
-  storage : int -> Stable.t; (* per-node store factory, keyed by node id *)
+  storage : int -> Cp_storage.Storage.t; (* per-node store factory, keyed by node id *)
   mutable event_hook : (Obs.Trace.record -> unit) option;
 }
 
@@ -68,7 +68,7 @@ let event_cmp (a : _ event) (b : _ event) =
 
 let create ?(seed = 1) ?(net = Netmodel.lan) ?proc_time
     ?(trace_capacity = Obs.Trace.default_capacity) ?(obs = true)
-    ?(fresh_trace = fun _ -> false) ?(storage = fun _ -> Stable.create ())
+    ?(fresh_trace = fun _ -> false) ?(storage = fun _ -> Cp_storage.Mem.store ())
     ~size_of ~classify () =
   {
     time = 0.;
@@ -246,7 +246,7 @@ let restart t ?(wipe_stable = false) id =
   match node.handlers with
   | Some _ -> ()
   | None ->
-    if wipe_stable then Stable.wipe node.node_stable;
+    if wipe_stable then Cp_storage.Storage.wipe node.node_stable;
     Metrics.incr node.node_metrics "restarts";
     Obs.Traceid.clear node.node_tctx;
     emit_event t node Obs.Event.Restarted;

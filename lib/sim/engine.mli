@@ -6,7 +6,7 @@
     per-node metrics and stable storage. Crashing a node discards its
     volatile state (the closures built by the builder) and invalidates its
     timers; restarting calls the builder again, so the node recovers only
-    what it reads back from {!Stable}.
+    what it reads back from {!Cp_storage.Storage}.
 
     Two runs with the same seed, nodes, and fault schedule produce identical
     event sequences — ties in virtual time are broken by sequence number. *)
@@ -25,7 +25,7 @@ type 'm ctx = {
           cancelled or the node crashes first; returns a timer id. *)
   cancel_timer : int -> unit;
   rng : Cp_util.Rng.t;
-  stable : Stable.t;
+  stable : Cp_storage.Storage.t;
   metrics : Metrics.t;
   emit : Cp_obs.Event.t -> unit;
       (** record a typed protocol event in the node's bounded trace
@@ -49,7 +49,7 @@ val create :
   ?trace_capacity:int ->
   ?obs:bool ->
   ?fresh_trace:('m -> bool) ->
-  ?storage:(int -> Stable.t) ->
+  ?storage:(int -> Cp_storage.Storage.t) ->
   size_of:('m -> int) ->
   classify:('m -> string) ->
   unit ->
@@ -123,7 +123,7 @@ val node_ids : 'm t -> int list
 
 val metrics : 'm t -> int -> Metrics.t
 
-val stable : 'm t -> int -> Stable.t
+val stable : 'm t -> int -> Cp_storage.Storage.t
 
 val trace : 'm t -> int -> Cp_obs.Trace.t
 (** The node's event trace. It survives crash/restart (like metrics); the

@@ -1,6 +1,7 @@
 (* The storage signature: what a runtime must provide to persist a replica.
 
-   Mirrors {!Cp_transport.Transport.S} for the disk: the engine's effect
+   The packed value below is the [stable] field of {!Cp_sim.Engine.ctx}
+   and what every runtime's storage factory returns: the engine's effect
    interpreter writes the acceptor header, one record per accepted vote,
    chosen log entries, and snapshots through the capability value below,
    and backends — the in-memory table ({!Mem}), the group-commit write-ahead
@@ -94,7 +95,7 @@ type t = Packed : (module S with type t = 'a) * 'a -> t
 (** A view paired with its backend — the value {!Cp_sim.Engine.ctx} carries
     and the effect interpreter writes through. *)
 
-(* --- forwarders: call sites read like the old Stable API --------------- *)
+(* --- operations on a packed view ---------------------------------------- *)
 
 let backend (Packed ((module B), h)) = B.backend h
 

@@ -1,9 +1,11 @@
 (** The storage signature: pluggable durable key-value stores for replicas.
 
-    Mirrors {!Cp_transport.Transport.S} for the disk. The engine's effect
-    interpreter persists the acceptor header, one record per accepted vote,
-    chosen log entries, and snapshots through the packed value {!t}; backends ({!Mem}, {!Wal}, {!Faulty}) are
-    interchangeable instances of {!S}. Values are bytes — typed encoding
+    The capability record {!Cp_sim.Engine.ctx} carries a {!t} as its
+    [stable] field, and every runtime's [?storage] factory returns one. The
+    engine's effect interpreter persists the acceptor header, one record
+    per accepted vote, chosen log entries, and snapshots through it;
+    backends ({!Mem}, {!Wal}, {!Faulty}) are interchangeable instances of
+    {!S}. Values are bytes — typed encoding
     happens above this layer (see the stable-record codecs in
     {!Cp_proto.Codec}).
 

@@ -9,7 +9,7 @@ type endpoint = {
   e_id : int;
   e_fab : fabric;
   e_rng : Cp_util.Rng.t;
-  e_stable : Cp_sim.Stable.t;
+  e_stable : Cp_storage.Storage.t;
   e_metrics : Metrics.t;
   e_trace : Obs.Trace.t;
   e_tctx : Obs.Traceid.t;
@@ -21,15 +21,15 @@ and fabric = {
   seed : int;
   links : (int * int, Bytering.t) Hashtbl.t; (* (src, dst) -> ring *)
   endpoints : (int, endpoint) Hashtbl.t;
-  wheel : (int * string) Wheel.t; (* payload: (node, tag) *)
-  storage : int -> Cp_sim.Stable.t; (* per-endpoint store factory *)
+  wheel : (endpoint * string) Wheel.t; (* payload: (owner, tag) *)
+  storage : int -> Cp_storage.Storage.t; (* per-endpoint store factory *)
   mutable time : float;
 }
 
 type t = fabric
 
 let create ?(ring_capacity = 65536) ?(seed = 1)
-    ?(storage = fun _ -> Cp_sim.Stable.create ()) () =
+    ?(storage = fun _ -> Cp_storage.Mem.store ()) () =
   {
     ring_capacity;
     seed;
@@ -95,38 +95,33 @@ let send_ep ep ~dst msg =
     Metrics.incr ep.e_metrics ~by:len "wire_bytes"
   | None -> Metrics.incr ep.e_metrics "wire_drops"
 
-module Endpoint : Transport.S with type t = endpoint = struct
-  type t = endpoint
-
-  let self ep = ep.e_id
-
-  let now ep = ep.e_fab.time
-
-  let send = send_ep
-
-  let set_timer ep ?(tag = "") delay =
-    Wheel.add ep.e_fab.wheel ~at:(ep.e_fab.time +. Float.max 0. delay) (ep.e_id, tag)
-
-  let cancel_timer ep wid = Wheel.cancel ep.e_fab.wheel wid
-
-  let rng ep = ep.e_rng
-
-  let stable ep = ep.e_stable
-
-  let metrics ep = ep.e_metrics
-
-  let emit = emit_ev
-
-  let tctx ep = ep.e_tctx
-end
-
 let endpoint fab id =
   match Hashtbl.find_opt fab.endpoints id with
   | Some ep -> ep
   | None -> invalid_arg (Printf.sprintf "Ring.endpoint: unknown id %d" id)
 
-let transport ep = Transport.Packed ((module Endpoint), ep)
+(* The endpoint's capability record: the fabric's clock and wheel, the
+   endpoint's own RNG, store, metrics and trace context. *)
+let ctx ep =
+  {
+    Engine.self = ep.e_id;
+    now = (fun () -> ep.e_fab.time);
+    send = (fun dst msg -> send_ep ep ~dst msg);
+    set_timer =
+      (fun ?(tag = "") delay ->
+        Wheel.add ep.e_fab.wheel ~at:(ep.e_fab.time +. Float.max 0. delay) (ep, tag));
+    cancel_timer = (fun wid -> Wheel.cancel ep.e_fab.wheel wid);
+    rng = ep.e_rng;
+    stable = ep.e_stable;
+    metrics = ep.e_metrics;
+    emit = (fun ev -> emit_ev ep ev);
+    tctx = ep.e_tctx;
+  }
 
+(* The endpoint is registered before [build] runs and removed again if
+   [build] raises, so a failed build leaves no half-made node behind and
+   the id can be retried. Timers that build armed stay in the wheel but
+   name the dead endpoint, and [fire] drops them. *)
 let add_node fab ~id ~build =
   if Hashtbl.mem fab.endpoints id then
     invalid_arg (Printf.sprintf "Ring.add_node: duplicate id %d" id);
@@ -144,7 +139,11 @@ let add_node fab ~id ~build =
     }
   in
   Hashtbl.replace fab.endpoints id ep;
-  ep.e_handlers <- build (Transport.ctx (transport ep))
+  match build (ctx ep) with
+  | handlers -> ep.e_handlers <- handlers
+  | exception exn ->
+    Hashtbl.remove fab.endpoints id;
+    raise exn
 
 (* Deliver one ring record: decode the traced frame in place (the record is
    a window into the ring's own bytes; [Bytes.unsafe_to_string] is safe here
@@ -182,15 +181,15 @@ let pump fab =
     keys;
   !delivered
 
-let fire fab wid (node, tag) =
-  match Hashtbl.find_opt fab.endpoints node with
-  | None -> () (* endpoint removed: stale timer *)
-  | Some ep ->
+let fire fab wid (ep, tag) =
+  match Hashtbl.find_opt fab.endpoints ep.e_id with
+  | Some live when live == ep ->
     (* A timer step starts a fresh causal chain, as in the sim and UDP
        runtimes. *)
     ignore (Obs.Traceid.mint ep.e_tctx);
     guard ep ~where:(Printf.sprintf "on_timer %S" tag) (fun () ->
         ep.e_handlers.Engine.on_timer ~tid:wid ~tag)
+  | _ -> () (* endpoint gone (failed build): stale timer *)
 
 let run ?(until = 60.) fab =
   let rec loop () =

@@ -1,7 +1,8 @@
 (** In-process ring-buffer transport: same-machine endpoints wired by SPSC
     byte rings.
 
-    The third {!Transport.S} instance, for fleet groups co-hosted in one
+    A runtime that builds each endpoint's {!Cp_sim.Engine.ctx} directly, as
+    the simulator and {!Cp_netio.Node} do, for fleet groups co-hosted in one
     process: each (src, dst) pair gets a {!Bytering} on demand, sends
     serialize {e zero-copy} into the ring ({!Cp_proto.Codec.encode_into}
     straight into the ring's backing bytes — no intermediate string, no
@@ -18,10 +19,8 @@
 type t
 (** The fabric: links, clock, timer wheel, endpoints. *)
 
-type endpoint
-
 val create :
-  ?ring_capacity:int -> ?seed:int -> ?storage:(int -> Cp_sim.Stable.t) -> unit -> t
+  ?ring_capacity:int -> ?seed:int -> ?storage:(int -> Cp_storage.Storage.t) -> unit -> t
 (** [ring_capacity] (default 65536) sizes each link's byte ring; [seed]
     (default 1) roots every endpoint's RNG stream. [storage] supplies each
     endpoint's stable store at {!add_node} time, keyed by endpoint id
@@ -32,17 +31,12 @@ val add_node :
   id:int ->
   build:(Cp_proto.Types.msg Cp_sim.Engine.ctx -> Cp_proto.Types.msg Cp_sim.Engine.handlers) ->
   unit
-(** Register an endpoint: [build] receives the capability record (closed
-    over this transport via {!Transport.ctx}) and returns its handlers —
-    the same builder shape {!Cp_sim.Engine.add_node} and
-    {!Cp_netio.Node.create} take, so the one replica/client builder runs on
-    all three transports. *)
-
-val endpoint : t -> int -> endpoint
-
-val transport : endpoint -> Transport.packed
-(** The endpoint as a packed transport instance (what {!add_node} builds
-    the ctx from). *)
+(** Register an endpoint: [build] receives the endpoint's capability
+    record and returns its handlers — the same builder shape
+    {!Cp_sim.Engine.add_node} and {!Cp_netio.Node.create} take, so the one
+    replica/client builder runs on all three runtimes. If [build] raises,
+    the endpoint is removed again (the id may be retried) and the exception
+    propagates. Raises [Invalid_argument] for an id already registered. *)
 
 val now : t -> float
 
@@ -62,4 +56,4 @@ val metrics : t -> int -> Cp_sim.Metrics.t
 
 val trace : t -> int -> Cp_obs.Trace.t
 
-val stable : t -> int -> Cp_sim.Stable.t
+val stable : t -> int -> Cp_storage.Storage.t

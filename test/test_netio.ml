@@ -118,26 +118,35 @@ let test_udp_cluster_commits () =
   Alcotest.(check bool) "metrics exposition has latency summary" true
     (contains metrics_text0 "cp_commit_latency{quantile=\"0.5\"}")
 
-(* Same replica and client code, but the replica nodes run the pool
-   dispatch runtime ([exec_domains > 1]): handlers execute on domain
-   workers under per-group locks instead of the node mutex. The protocol
-   outcome must be unchanged, and the merged metrics snapshot must expose
-   the pool's per-domain utilization counters. *)
-let pool_base_port = 45900
+(* Same cluster, with the mains built exactly as [cheap_paxos node
+   --exec-domains 2] builds them: chosen commands execute through a 2-wide
+   conflict-aware applier over the KV app's key declarations, while
+   handlers keep running under the node mutex. The protocol outcome must be
+   unchanged, and the applier's [exec_*] counters must reach the node's
+   metrics through the ctx. *)
+let applier_base_port = 45900
 
-let test_udp_pool_dispatch () =
-  let port_of id = pool_base_port + id in
-  let id_of_port port = port - pool_base_port in
+let test_udp_parallel_applier () =
+  let port_of id = applier_base_port + id in
+  let id_of_port port = port - applier_base_port in
   let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
   let universe_mains = [ 0; 1 ] and universe_auxes = [ 2 ] in
+  let params = { Cp_engine.Params.default with Cp_engine.Params.exec_domains = 2 } in
   let replicas = Hashtbl.create 4 in
   let make_replica id role =
-    Node.create ~port_of ~id_of_port ~id ~seed:99 ~exec_domains:2
+    Node.create ~port_of ~id_of_port ~id ~seed:99
       ~build:(fun ctx ->
+        let exec =
+          if role = Replica.Main then
+            Some
+              (Cp_exec.Applier.create ~workers:2
+                 ~count:(fun name by -> Cp_sim.Metrics.incr ctx.Cp_sim.Engine.metrics ~by name)
+                 ~conflict_keys:Cp_smr.Kv.conflict_keys ())
+          else None
+        in
         let r =
-          Replica.create ctx ~role ~policy:Cheap_paxos.Cheap.policy
-            ~params:Cp_engine.Params.default ~initial ~universe_mains ~universe_auxes
-            ~app:(module Cp_smr.Counter)
+          Replica.create ?exec ctx ~role ~policy:Cheap_paxos.Cheap.policy ~params ~initial
+            ~universe_mains ~universe_auxes ~app:(module Cp_smr.Kv)
         in
         Hashtbl.replace replicas id r;
         Replica.handlers r)
@@ -154,7 +163,10 @@ let test_udp_pool_dispatch () =
       ~build:(fun ctx ->
         let c =
           Client.create ctx ~mains:universe_mains ~timeout:0.2
-            ~ops:(fun seq -> if seq <= total then Some (Cp_smr.Counter.inc 1) else None)
+            ~ops:(fun seq ->
+              if seq <= total then
+                Some (Cp_smr.Kv.put (Printf.sprintf "k%d" (seq mod 4)) (string_of_int seq))
+              else None)
             ()
         in
         client_cell := Some c;
@@ -177,9 +189,8 @@ let test_udp_pool_dispatch () =
   let dumps =
     List.map
       (fun id ->
-        let node = List.assoc id nodes in
         let r = Hashtbl.find replicas id in
-        Node.with_group node ~gid:0 (fun () ->
+        Node.with_lock (List.assoc id nodes) (fun () ->
             {
               Cp_checker.Consistency.node = id;
               base = Replica.log_base r;
@@ -187,23 +198,33 @@ let test_udp_pool_dispatch () =
             }))
       universe_mains
   in
-  let main0 = List.assoc 0 nodes in
-  let pool_mode = Node.parallel_dispatch main0 in
-  let domains_counter = Node.counter main0 "exec.domains" in
-  let recvs_merged = Node.counter main0 "msgs_recv" in
+  let applied =
+    List.fold_left
+      (fun acc id -> max acc (Node.counter (List.assoc id nodes) "exec_batch_ops"))
+      0 universe_mains
+  in
+  let windows id =
+    let node = List.assoc id nodes in
+    Node.counter node "exec_serial_batches" + Node.counter node "exec_parallel_batches"
+  in
+  let main_windows = List.map windows universe_mains in
+  let aux_applied = Node.counter (List.assoc 2 nodes) "exec_batch_ops" in
   List.iter (fun (_, n) -> Node.shutdown n) nodes;
   Node.shutdown client_node;
-  Alcotest.(check bool) "client finished under pool dispatch" true finished;
+  Alcotest.(check bool) "client finished with the parallel applier" true finished;
   Alcotest.(check int) "all ops done" total done_count;
   (match Cp_checker.Consistency.agreement dumps with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "node reports pool dispatch" true pool_mode;
-  Alcotest.(check int) "merged snapshot exposes pool width" 2 domains_counter;
-  Alcotest.(check bool) "merged snapshot counts receives" true (recvs_merged > 0)
+  Alcotest.(check bool)
+    (Printf.sprintf "applier counted every op (%d)" applied)
+    true (applied >= total);
+  Alcotest.(check bool) "every main applied through the applier" true
+    (List.for_all (fun w -> w > 0) main_windows);
+  Alcotest.(check int) "auxiliary has no applier" 0 aux_applied
 
 let suite =
   [
     Alcotest.test_case "udp cluster commits" `Slow test_udp_cluster_commits;
-    Alcotest.test_case "udp cluster commits (pool dispatch)" `Slow test_udp_pool_dispatch;
+    Alcotest.test_case "udp cluster commits (parallel applier)" `Slow test_udp_parallel_applier;
   ]

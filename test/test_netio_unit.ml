@@ -406,6 +406,21 @@ let test_shutdown_idempotent () =
   in
   Node.shutdown node2
 
+(* A raising [build] must release what [create] acquired: the same UDP and
+   admin ports bind again straight away. *)
+let test_create_build_raises () =
+  let admin_port = base + 302 in
+  let create build = Node.create ~port_of ~id_of_port ~id:18 ~seed:1 ~admin_port ~build () in
+  Alcotest.check_raises "build's exception propagates" (Failure "boom") (fun () ->
+      ignore (create (fun _ -> failwith "boom")));
+  let node =
+    create (fun _ ->
+        { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) })
+  in
+  let code, _, _ = Node.admin_response node "/healthz" in
+  Node.shutdown node;
+  Alcotest.(check int) "rebuilt node serves" 200 code
+
 let suite =
   [
     Alcotest.test_case "timers fire in order" `Slow test_timers_fire_in_order;
@@ -419,4 +434,6 @@ let suite =
     Alcotest.test_case "admin large response" `Slow test_admin_large_response;
     Alcotest.test_case "multi group udp" `Slow test_multi_group_udp;
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
+    Alcotest.test_case "create releases ports when build raises" `Quick
+      test_create_build_raises;
   ]

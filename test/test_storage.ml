@@ -7,7 +7,6 @@ module Storage = Cp_storage.Storage
 module Mem = Cp_storage.Mem
 module Wal = Cp_storage.Wal
 module Faulty = Cp_storage.Faulty
-module Stable = Cp_sim.Stable
 module Codec = Cp_proto.Codec
 module Types = Cp_proto.Types
 module Ballot = Cp_proto.Ballot
@@ -31,45 +30,45 @@ let with_tmpdir f =
   Fun.protect ~finally:(fun () -> try rm path with _ -> ()) (fun () -> f path)
 
 let dump s =
-  Stable.keys s |> List.map (fun k -> (k, Option.value (Stable.get s k) ~default:""))
+  Storage.keys s |> List.map (fun k -> (k, Option.value (Storage.get s k) ~default:""))
 
 let kv_list = Alcotest.(list (pair string string))
 
 (* --- Mem: view semantics and counter stability -------------------------- *)
 
 let test_mem_counter_stability () =
-  (* The old Stable.sub minted fresh counters per derivation, so re-deriving
+  (* [sub] once minted fresh counters per derivation, so re-deriving
      a view with the same name silently reset its write accounting. Counters
      now live in the backend keyed by resolved prefix. *)
-  let root = Stable.create () in
-  let v1 = Stable.sub root ~name:"g1" in
-  Stable.put v1 "a" "xx";
-  Stable.put v1 "b" "yyy";
-  Alcotest.(check int) "writes through first handle" 2 (Stable.write_count v1);
-  let v2 = Stable.sub root ~name:"g1" in
-  Alcotest.(check int) "re-derived view keeps counters" 2 (Stable.write_count v2);
-  Alcotest.(check int) "re-derived view keeps bytes" 5 (Stable.bytes_written v2);
-  Stable.put v2 "c" "z";
-  Alcotest.(check int) "both handles share the cell" 3 (Stable.write_count v1);
+  let root = Mem.store () in
+  let v1 = Storage.sub root ~name:"g1" in
+  Storage.put v1 "a" "xx";
+  Storage.put v1 "b" "yyy";
+  Alcotest.(check int) "writes through first handle" 2 (Storage.write_count v1);
+  let v2 = Storage.sub root ~name:"g1" in
+  Alcotest.(check int) "re-derived view keeps counters" 2 (Storage.write_count v2);
+  Alcotest.(check int) "re-derived view keeps bytes" 5 (Storage.bytes_written v2);
+  Storage.put v2 "c" "z";
+  Alcotest.(check int) "both handles share the cell" 3 (Storage.write_count v1);
   (* Sibling and nested views have their own cells. *)
-  let sib = Stable.sub root ~name:"g2" in
-  Alcotest.(check int) "sibling independent" 0 (Stable.write_count sib);
-  let nested = Stable.sub v1 ~name:"g1" in
-  Alcotest.(check int) "nested independent" 0 (Stable.write_count nested)
+  let sib = Storage.sub root ~name:"g2" in
+  Alcotest.(check int) "sibling independent" 0 (Storage.write_count sib);
+  let nested = Storage.sub v1 ~name:"g1" in
+  Alcotest.(check int) "nested independent" 0 (Storage.write_count nested)
 
 let test_nul_guards () =
-  let root = Stable.create () in
+  let root = Mem.store () in
   Alcotest.check_raises "NUL rejected in view name"
     (Invalid_argument "Storage.sub: view name contains NUL") (fun () ->
-      ignore (Stable.sub root ~name:"g\x001"));
+      ignore (Storage.sub root ~name:"g\x001"));
   (* The separator byte keeps concatenated namespaces collision-free: view
      "g1" key "0k" and view "g10" key "k" must be distinct slots. *)
-  let a = Stable.sub root ~name:"g1" in
-  let b = Stable.sub root ~name:"g10" in
-  Stable.put a "0k" "from-a";
-  Stable.put b "k" "from-b";
-  Alcotest.(check (option string)) "g1/0k" (Some "from-a") (Stable.get a "0k");
-  Alcotest.(check (option string)) "g10/k" (Some "from-b") (Stable.get b "k");
+  let a = Storage.sub root ~name:"g1" in
+  let b = Storage.sub root ~name:"g10" in
+  Storage.put a "0k" "from-a";
+  Storage.put b "k" "from-b";
+  Alcotest.(check (option string)) "g1/0k" (Some "from-a") (Storage.get a "0k");
+  Alcotest.(check (option string)) "g10/k" (Some "from-b") (Storage.get b "k");
   Alcotest.(check kv_list) "a sees only its key" [ ("0k", "from-a") ] (dump a);
   Alcotest.(check kv_list) "b sees only its key" [ ("k", "from-b") ] (dump b)
 
@@ -165,45 +164,45 @@ let test_codec_rejects_garbage () =
 let test_wal_basics_and_reopen () =
   with_tmpdir (fun dir ->
       let s = Wal.store dir in
-      Stable.put s "acceptor" "img1";
-      Stable.put s "log.1" "e1";
-      Stable.put s "log.2" "e2";
-      Stable.remove s "log.1";
-      Stable.put s "acceptor" "img2";
-      Stable.flush s;
+      Storage.put s "acceptor" "img1";
+      Storage.put s "log.1" "e1";
+      Storage.put s "log.2" "e2";
+      Storage.remove s "log.1";
+      Storage.put s "acceptor" "img2";
+      Storage.flush s;
       Alcotest.(check kv_list) "live contents"
         [ ("acceptor", "img2"); ("log.2", "e2") ]
         (dump s);
-      Alcotest.(check string) "backend name" "wal" (Stable.backend s);
-      let st = Stable.stats s in
+      Alcotest.(check string) "backend name" "wal" (Storage.backend s);
+      let st = Storage.stats s in
       Alcotest.(check bool) "fsynced once" true (st.Storage.fsyncs = 1);
       Alcotest.(check bool) "appended bytes counted" true (st.Storage.bytes_appended > 0);
-      Stable.close s;
+      Storage.close s;
       (* Cold reopen: a real segment replay must rebuild the same index. *)
       let s2 = Wal.store dir in
       Alcotest.(check kv_list) "reopen replays"
         [ ("acceptor", "img2"); ("log.2", "e2") ]
         (dump s2);
-      let st2 = Stable.stats s2 in
+      let st2 = Storage.stats s2 in
       Alcotest.(check bool) "recovery time recorded" true (st2.Storage.recovery_ms >= 0.);
-      Stable.close s2)
+      Storage.close s2)
 
 let test_wal_group_commit_fsyncs () =
   with_tmpdir (fun dir ->
       let s = Wal.store dir in
       (* One effect batch: many records, one flush, one fsync. *)
       for i = 1 to 8 do
-        Stable.put s ("log." ^ string_of_int i) "entry"
+        Storage.put s ("log." ^ string_of_int i) "entry"
       done;
-      Stable.flush s;
-      Alcotest.(check int) "batch = one fsync" 1 (Stable.stats s).Storage.fsyncs;
+      Storage.flush s;
+      Alcotest.(check int) "batch = one fsync" 1 (Storage.stats s).Storage.fsyncs;
       (* Clean flush is free: nothing dirty, no extra sync. *)
-      Stable.flush s;
-      Alcotest.(check int) "idle flush free" 1 (Stable.stats s).Storage.fsyncs;
-      Stable.put s "log.9" "entry";
-      Stable.flush s;
-      Alcotest.(check int) "next batch syncs again" 2 (Stable.stats s).Storage.fsyncs;
-      Stable.close s)
+      Storage.flush s;
+      Alcotest.(check int) "idle flush free" 1 (Storage.stats s).Storage.fsyncs;
+      Storage.put s "log.9" "entry";
+      Storage.flush s;
+      Alcotest.(check int) "next batch syncs again" 2 (Storage.stats s).Storage.fsyncs;
+      Storage.close s)
 
 let test_wal_rotation () =
   with_tmpdir (fun dir ->
@@ -211,15 +210,15 @@ let test_wal_rotation () =
          rotate across many files and still replay in order. *)
       let s = Wal.store ~segment_max:128 ~compact_min:max_int dir in
       for i = 0 to 49 do
-        Stable.put s (Printf.sprintf "k%02d" i) (String.make 16 (Char.chr (65 + (i mod 26))))
+        Storage.put s (Printf.sprintf "k%02d" i) (String.make 16 (Char.chr (65 + (i mod 26))))
       done;
-      Stable.flush s;
-      Alcotest.(check bool) "rotated" true ((Stable.stats s).Storage.segments > 1);
+      Storage.flush s;
+      Alcotest.(check bool) "rotated" true ((Storage.stats s).Storage.segments > 1);
       let live = dump s in
-      Stable.close s;
+      Storage.close s;
       let s2 = Wal.store dir in
       Alcotest.(check kv_list) "multi-segment replay" live (dump s2);
-      Stable.close s2)
+      Storage.close s2)
 
 let test_wal_compaction () =
   with_tmpdir (fun dir ->
@@ -227,11 +226,11 @@ let test_wal_compaction () =
       (* Hammer one key: almost everything appended is dead, so checkpoints
          must reclaim it. *)
       for i = 0 to 199 do
-        Stable.put s "acceptor" (Printf.sprintf "image-%03d" i);
-        if i mod 4 = 3 then Stable.flush s
+        Storage.put s "acceptor" (Printf.sprintf "image-%03d" i);
+        if i mod 4 = 3 then Storage.flush s
       done;
-      Stable.flush s;
-      let st = Stable.stats s in
+      Storage.flush s;
+      let st = Storage.stats s in
       Alcotest.(check bool)
         (Printf.sprintf "segments bounded (%d)" st.Storage.segments)
         true
@@ -247,57 +246,57 @@ let test_wal_compaction () =
         true
         (disk * 4 < st.Storage.bytes_appended);
       Alcotest.(check kv_list) "latest value survives" [ ("acceptor", "image-199") ] (dump s);
-      Stable.close s;
+      Storage.close s;
       let s2 = Wal.store dir in
       Alcotest.(check kv_list) "recovers after compaction" [ ("acceptor", "image-199") ]
         (dump s2);
-      Stable.close s2)
+      Storage.close s2)
 
 let test_wal_sub_views_and_wipe () =
   with_tmpdir (fun dir ->
       let root = Wal.store dir in
-      let g1 = Stable.sub root ~name:"g1" in
-      let g2 = Stable.sub root ~name:"g2" in
-      Stable.put g1 "k" "one";
-      Stable.put g2 "k" "two";
-      Stable.put root "k" "root";
-      Stable.flush root;
-      Alcotest.(check (option string)) "g1 isolated" (Some "one") (Stable.get g1 "k");
-      Stable.wipe g1;
-      Alcotest.(check (option string)) "g1 wiped" None (Stable.get g1 "k");
-      Alcotest.(check (option string)) "g2 survives" (Some "two") (Stable.get g2 "k");
-      Stable.close root;
+      let g1 = Storage.sub root ~name:"g1" in
+      let g2 = Storage.sub root ~name:"g2" in
+      Storage.put g1 "k" "one";
+      Storage.put g2 "k" "two";
+      Storage.put root "k" "root";
+      Storage.flush root;
+      Alcotest.(check (option string)) "g1 isolated" (Some "one") (Storage.get g1 "k");
+      Storage.wipe g1;
+      Alcotest.(check (option string)) "g1 wiped" None (Storage.get g1 "k");
+      Alcotest.(check (option string)) "g2 survives" (Some "two") (Storage.get g2 "k");
+      Storage.close root;
       (* Views are prefix-encoded in the log itself: replay restores them. *)
       let root2 = Wal.store dir in
-      let g2' = Stable.sub root2 ~name:"g2" in
-      Alcotest.(check (option string)) "g2 after replay" (Some "two") (Stable.get g2' "k");
-      let g1' = Stable.sub root2 ~name:"g1" in
-      Alcotest.(check (option string)) "g1 stays wiped" None (Stable.get g1' "k");
+      let g2' = Storage.sub root2 ~name:"g2" in
+      Alcotest.(check (option string)) "g2 after replay" (Some "two") (Storage.get g2' "k");
+      let g1' = Storage.sub root2 ~name:"g1" in
+      Alcotest.(check (option string)) "g1 stays wiped" None (Storage.get g1' "k");
       (* Root wipe deletes every view and survives reopen. *)
-      Stable.wipe root2;
+      Storage.wipe root2;
       Alcotest.(check kv_list) "root wipe clears" [] (dump root2);
-      Stable.close root2;
+      Storage.close root2;
       let root3 = Wal.store dir in
       Alcotest.(check kv_list) "wipe is durable" [] (dump root3);
-      Stable.close root3)
+      Storage.close root3)
 
 (* --- torn tails: crash at every byte offset ----------------------------- *)
 
 (* A deterministic mixed workload (puts, overwrites, removes, a sub view,
    interior flushes). Returns unit ops to apply in order. *)
 let tt_workload root =
-  let v = Stable.sub root ~name:"g1" in
+  let v = Storage.sub root ~name:"g1" in
   [
-    (fun () -> Stable.put root "acceptor" "alpha");
-    (fun () -> Stable.put root "log.1" "entry-one");
-    (fun () -> Stable.flush root);
-    (fun () -> Stable.put v "k" "view-bytes");
-    (fun () -> Stable.put root "acceptor" "beta-longer-image");
-    (fun () -> Stable.remove root "log.1");
-    (fun () -> Stable.flush root);
-    (fun () -> Stable.put root "log.2" "entry-two");
-    (fun () -> Stable.put root "snapshot" (String.make 40 's'));
-    (fun () -> Stable.flush root);
+    (fun () -> Storage.put root "acceptor" "alpha");
+    (fun () -> Storage.put root "log.1" "entry-one");
+    (fun () -> Storage.flush root);
+    (fun () -> Storage.put v "k" "view-bytes");
+    (fun () -> Storage.put root "acceptor" "beta-longer-image");
+    (fun () -> Storage.remove root "log.1");
+    (fun () -> Storage.flush root);
+    (fun () -> Storage.put root "log.2" "entry-two");
+    (fun () -> Storage.put root "snapshot" (String.make 40 's'));
+    (fun () -> Storage.flush root);
   ]
 
 (* Model of the workload's live state after its first [n] ops. *)
@@ -336,10 +335,10 @@ let tt_offsets dir workload =
     List.map
       (fun op ->
         op ();
-        (Stable.stats root).Storage.bytes_appended)
+        (Storage.stats root).Storage.bytes_appended)
       (workload root)
   in
-  Stable.close root;
+  Storage.close root;
   offsets
 
 (* Crash [workload] after every byte offset of its log and hand each cold
@@ -357,7 +356,7 @@ let sweep_crash_offsets base workload ~check =
     (* Simulated power cut: no close, no fsync; reopen cold. *)
     let r = Wal.store dir in
     check x (List.length (List.filter (fun off -> off <= x) offsets)) r;
-    Stable.close r
+    Storage.close r
   done;
   total
 
@@ -418,7 +417,7 @@ let check_acceptor_recovery batches x n store =
          String.length k <= 5
          || String.sub k 0 5 <> "vote."
          || int_of_string (String.sub k 5 (String.length k - 5)) >= floor)
-       (Stable.keys store));
+       (Storage.keys store));
   Alcotest.(check bool) (at "recovery is idempotent") true
     (Acceptor.export (recovered_acceptor store) = Acceptor.export acc)
 
@@ -439,7 +438,7 @@ let test_wal_torn_tail_every_offset () =
         List.map
           (fun (effects, _) () ->
             List.iter (Replica.persist root) effects;
-            Stable.flush root)
+            Storage.flush root)
           batches
       in
       ignore
@@ -455,17 +454,17 @@ let test_wal_short_writes () =
       let root = Storage.Packed ((module Wal.View), s) in
       List.iter (fun op -> op ()) (tt_workload root);
       let live = dump root in
-      Stable.close root;
+      Storage.close root;
       let r = Wal.store dir in
       Alcotest.(check kv_list) "short writes invisible" live (dump r);
-      Stable.close r)
+      Storage.close r)
 
 let test_wal_garbage_tail () =
   with_tmpdir (fun dir ->
       let s = Wal.store dir in
       List.iter (fun op -> op ()) (tt_workload s);
       let live = dump s in
-      Stable.close s;
+      Storage.close s;
       (* Smash garbage onto the last segment: recovery must keep every real
          record, truncate the garbage away, and never raise. *)
       let seg =
@@ -478,18 +477,18 @@ let test_wal_garbage_tail () =
       close_out oc;
       let r = Wal.store dir in
       Alcotest.(check kv_list) "garbage tail ignored" live (dump r);
-      Stable.close r;
+      Storage.close r;
       Alcotest.(check int) "garbage truncated away" clean_size (Unix.stat path).Unix.st_size)
 
 let test_faulty_op_level () =
   with_tmpdir (fun dir ->
       let plan = Faulty.plan ~crash_before_flush:0 () in
       let s = Faulty.store plan (Wal.store dir) in
-      Alcotest.(check string) "backend composes" "faulty(wal)" (Stable.backend s);
-      Stable.put s "k" "v";
-      Alcotest.check_raises "first flush crashes" Faulty.Crash (fun () -> Stable.flush s);
+      Alcotest.(check string) "backend composes" "faulty(wal)" (Storage.backend s);
+      Storage.put s "k" "v";
+      Alcotest.check_raises "first flush crashes" Faulty.Crash (fun () -> Storage.flush s);
       Alcotest.check_raises "dead after crash" Faulty.Crash (fun () ->
-          ignore (Stable.get s "k")))
+          ignore (Storage.get s "k")))
 
 (* --- conformance: Mem vs WAL, fingerprint-identical ---------------------- *)
 
@@ -525,14 +524,14 @@ let test_inline_vote_header_recovers () =
   with_tmpdir (fun dir ->
       let promised, votes, floor = sample_image in
       let s = Wal.store dir in
-      Stable.put s "acceptor" (Codec.encode_acceptor_image sample_image);
-      Stable.flush s;
-      Stable.close s;
+      Storage.put s "acceptor" (Codec.encode_acceptor_image sample_image);
+      Storage.flush s;
+      Storage.close s;
       (* Machine 2 is the f=1 cluster's auxiliary. *)
       let aux = Wal.store dir in
       let cluster =
         Cp_runtime.Cluster.create
-          ~storage:(fun id -> if id = 2 then aux else Stable.create ())
+          ~storage:(fun id -> if id = 2 then aux else Mem.store ())
           ~policy:Cheap_paxos.Cheap.policy ~initial:(Cheap_paxos.Cheap.initial_config ~f:1)
           ~app:(module Cp_smr.Kv) ()
       in
@@ -543,17 +542,17 @@ let test_inline_vote_header_recovers () =
       Alcotest.(check bool) "promise" true (Ballot.equal promised (Replica.acceptor_promised r));
       Alcotest.(check int) "floor" floor (Replica.acceptor_floor r);
       Alcotest.(check bool) "header rewritten without votes" true
-        (Option.map Codec.decode_acceptor_image (Stable.get aux "acceptor")
+        (Option.map Codec.decode_acceptor_image (Storage.get aux "acceptor")
         = Some (Ok (promised, [], floor)));
       Alcotest.(check (list string))
         "one record per vote"
         (List.map (fun (i, _) -> "vote." ^ string_of_int i) votes)
-        (List.filter (fun k -> k <> "acceptor") (Stable.keys aux));
-      Stable.close aux;
+        (List.filter (fun k -> k <> "acceptor") (Storage.keys aux));
+      Storage.close aux;
       let s = Wal.store dir in
       Alcotest.(check bool) "rewritten layout reopens to the same acceptor" true
         (Acceptor.export (recovered_acceptor s) = sample_image);
-      Stable.close s)
+      Storage.close s)
 
 (* --- fleet: N groups on one WAL root per machine ------------------------- *)
 
@@ -614,7 +613,7 @@ let test_fleet_restart_on_shared_wal () =
       List.iter
         (fun (id, s) ->
           let live = dump s in
-          Stable.close s;
+          Storage.close s;
           if live <> [] then begin
             let r = Wal.store (Filename.concat dir (Printf.sprintf "m%d" id)) in
             Alcotest.(check kv_list)
@@ -634,7 +633,7 @@ let test_fleet_restart_on_shared_wal () =
                  (List.length views))
               true
               (List.length views >= 2);
-            Stable.close r
+            Storage.close r
           end)
         !handles)
 
@@ -643,9 +642,9 @@ let test_fleet_restart_on_shared_wal () =
 let test_counter_list () =
   with_tmpdir (fun dir ->
       let s = Wal.store dir in
-      Stable.put s "k" "vvvv";
-      Stable.flush s;
-      let c = Stable.counter_list s in
+      Storage.put s "k" "vvvv";
+      Storage.flush s;
+      let c = Storage.counter_list s in
       List.iter
         (fun name ->
           Alcotest.(check bool) (name ^ " present") true (List.mem_assoc name c))
@@ -660,7 +659,7 @@ let test_counter_list () =
         ];
       Alcotest.(check int) "writes" 1 (List.assoc "storage_writes" c);
       Alcotest.(check int) "fsyncs" 1 (List.assoc "storage_fsyncs" c);
-      Stable.close s)
+      Storage.close s)
 
 let suite =
   [

@@ -320,6 +320,30 @@ let test_ring_cluster_commits () =
         (Cp_sim.Metrics.get m "wire_bytes" > 0))
     (universe_mains @ [ 1000 ])
 
+(* A builder that raises leaves no endpoint behind: the id can be added
+   again, and a timer the failed build armed never reaches the new
+   endpoint's handlers. *)
+let test_ring_add_node_build_raises () =
+  let fab = Ring.create () in
+  let stale = ref 0 and fresh = ref 0 in
+  let idle = { Cp_sim.Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) } in
+  Alcotest.check_raises "build's exception propagates" (Failure "boom") (fun () ->
+      Ring.add_node fab ~id:7 ~build:(fun ctx ->
+          ignore (ctx.Cp_sim.Engine.set_timer ~tag:"stale" 0.1);
+          failwith "boom"));
+  Alcotest.check_raises "no endpoint left" (Invalid_argument "Ring.endpoint: unknown id 7")
+    (fun () -> ignore (Ring.metrics fab 7));
+  Ring.add_node fab ~id:7 ~build:(fun ctx ->
+      ignore (ctx.Cp_sim.Engine.set_timer ~tag:"fresh" 0.2);
+      {
+        idle with
+        Cp_sim.Engine.on_timer =
+          (fun ~tid:_ ~tag -> if tag = "stale" then incr stale else incr fresh);
+      });
+  Ring.run ~until:1. fab;
+  Alcotest.(check int) "stale timer dropped" 0 !stale;
+  Alcotest.(check int) "retried endpoint's timer fires" 1 !fresh
+
 let suite =
   [
     Alcotest.test_case "bytering: write/read roundtrip" `Quick test_bytering_roundtrip;
@@ -343,4 +367,6 @@ let suite =
     Alcotest.test_case "conformance: udp byte-identical to sim" `Slow test_conformance_udp;
     Alcotest.test_case "conformance: seeds vary the schedule" `Quick test_conformance_other_seed;
     Alcotest.test_case "ring fabric: replica cluster commits" `Slow test_ring_cluster_commits;
+    Alcotest.test_case "ring fabric: add_node undone when build raises" `Quick
+      test_ring_add_node_build_raises;
   ]
