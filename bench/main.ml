@@ -3,7 +3,7 @@
    Two parts:
    1. The evaluation tables (E1-E8): the paper has no measured tables or
       figures, so these regenerate the experiment suite that quantifies its
-      analytical claims (DESIGN.md section 7), each printed with
+      analytical claims (DESIGN.md section 9), each printed with
       claim-vs-measured verdicts.
    2. Bechamel microbenchmarks of the core data structures and of an
       end-to-end simulated commit, so regressions in the hot paths are
@@ -466,7 +466,8 @@ let write_reads_snapshot () =
 (* ------------------------------------------------------------------ *)
 (* Tracing snapshot: three gates on the observability layer itself.    *)
 (* (1) Overhead: the identical simulation timed wall-clock with        *)
-(*     tracing on and off — rings + trace ids must cost < 5%.          *)
+(*     tracing on and off — rings + trace ids must cost < 5%, judged   *)
+(*     on the median of 15 per-pair on/off throughput ratios.          *)
 (* (2) Steady-state duty cycle: with no faults the auxiliary's trace   *)
 (*     lane must be ~empty (the paper's claim, as a number).           *)
 (* (3) Determinism: two same-seed failover runs must render byte-      *)
@@ -480,7 +481,7 @@ let write_trace_snapshot () =
   let module Faults = Cp_runtime.Faults in
   let module Timeline = Cp_obs.Timeline in
   let clients = 8 in
-  let per_client = if quick then 80 else 250 in
+  let per_client = 250 in
   let steady_spec ~obs =
     {
       (S.default_spec ~sys:(S.Cheap 1)) with
@@ -494,31 +495,49 @@ let write_trace_snapshot () =
       deadline = 60.;
     }
   in
-  (* Gate 1: wall-clock cost of tracing. Interleaved on/off pairs, min-of-N:
-     the minimum is the least-noisy estimator for a deterministic workload.
-     The GC flush keeps one run's garbage from being collected on the next
-     run's clock (each timed run still pays for its own allocation). *)
-  let pairs = if quick then 5 else 8 in
-  let time spec =
+  (* Gate 1: wall-clock cost of tracing. The full-size run (8 x 250 ops,
+     quick mode too: a shorter run is too brief to time) is timed in 15
+     interleaved off/on pairs, the order within a pair alternating so
+     neither side always runs second. Both runs of a pair do the same
+     work, so their time ratio is the overhead seen under the same
+     machine load; the gate takes the median ratio, and the quartiles
+     show its spread. The GC flush keeps one run's garbage from being
+     collected on the next run's clock (each timed run still pays for its
+     own allocation). *)
+  let pairs = 15 in
+  let last_on = ref None in
+  let run obs =
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
-    let r = S.run spec in
-    (Unix.gettimeofday () -. t0, r)
+    let r = S.run (steady_spec ~obs) in
+    let dt = Unix.gettimeofday () -. t0 in
+    if obs then last_on := Some r;
+    dt
   in
-  let best_on = ref infinity and best_off = ref infinity in
-  let last_on = ref None in
-  for _ = 1 to pairs do
-    let dt_off, _ = time (steady_spec ~obs:false) in
-    let dt_on, r_on = time (steady_spec ~obs:true) in
-    best_off := Float.min !best_off dt_off;
-    best_on := Float.min !best_on dt_on;
-    last_on := Some r_on
-  done;
+  (* (off, on) seconds per pair. *)
+  let samples =
+    List.init pairs (fun i ->
+        if i mod 2 = 0 then
+          let off = run false in
+          (off, run true)
+        else
+          let on = run true in
+          (run false, on))
+  in
   let steady = Option.get !last_on in
   let total_ops = steady.S.completed in
-  let tput_on = float_of_int total_ops /. !best_on in
-  let tput_off = float_of_int total_ops /. !best_off in
-  let overhead_ratio = tput_on /. tput_off in
+  let quartiles xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    let q = Cp_util.Stats.quantile a in
+    (q 0.25, q 0.5, q 0.75)
+  in
+  (* tput_on / tput_off over the same op count is dt_off / dt_on. *)
+  let ratio_q1, overhead_ratio, ratio_q3 =
+    quartiles (List.map (fun (off, on) -> off /. on) samples)
+  in
+  let _, off_median, _ = quartiles (List.map fst samples) in
+  let _, on_median, _ = quartiles (List.map snd samples) in
   let overhead_ok = steady.S.finished && overhead_ratio >= 0.95 in
   (* Gate 2: steady-state auxiliary duty cycle over the back half of the
      run (skips the initial election), against the leader's for contrast. *)
@@ -575,9 +594,10 @@ let write_trace_snapshot () =
   let oc = open_out "BENCH_trace.json" in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc
-    "  \"overhead\": {\"pairs\": %d, \"ops\": %d, \"obs_off_s\": %.6f, \"obs_on_s\": \
-     %.6f, \"obs_off_tput\": %.1f, \"obs_on_tput\": %.1f, \"ratio\": %.4f, \"pass\": %b},\n"
-    pairs total_ops !best_off !best_on tput_off tput_on overhead_ratio overhead_ok;
+    "  \"overhead\": {\"pairs\": %d, \"ops\": %d, \"obs_off_median_s\": %.6f, \
+     \"obs_on_median_s\": %.6f, \"ratio_median\": %.4f, \"ratio_q1\": %.4f, \
+     \"ratio_q3\": %.4f, \"pass\": %b},\n"
+    pairs total_ops off_median on_median overhead_ratio ratio_q1 ratio_q3 overhead_ok;
   Printf.fprintf oc
     "  \"duty_cycle\": {\"window\": [%.6f, %.6f], \"aux\": [%s], \"mains\": [%s], \
      \"max_aux_duty\": %.6f, \"max_main_duty\": %.6f, \"pass\": %b},\n"
@@ -602,11 +622,11 @@ let write_trace_snapshot () =
   close_out oc;
   let ok = overhead_ok && duty_ok && deterministic && engaged_ok in
   Printf.printf
-    "wrote BENCH_trace.json (obs on/off tput ratio %.3f, max aux duty %.4f vs main \
-     %.4f, %d engagement window(s), chrome deterministic: %b) and \
-     BENCH_trace_chrome.json (%d bytes) -- %s\n"
-    overhead_ratio max_aux_duty max_main_duty (List.length windows) deterministic
-    (String.length chrome1)
+    "wrote BENCH_trace.json (obs on/off tput ratio median %.3f [q1 %.3f, q3 %.3f] \
+     over %d pairs, max aux duty %.4f vs main %.4f, %d engagement window(s), chrome \
+     deterministic: %b) and BENCH_trace_chrome.json (%d bytes) -- %s\n"
+    overhead_ratio ratio_q1 ratio_q3 pairs max_aux_duty max_main_duty
+    (List.length windows) deterministic (String.length chrome1)
     (if ok then "PASS" else "FAIL");
   ok
 
@@ -720,187 +740,6 @@ let write_fleet_snapshot () =
     "wrote BENCH_fleet.json (1 group %.0f ops/s, 8 groups %.0f ops/s, speedup %.2fx, \
      max aux recv per group %d, aux quiescent in all groups: %b) -- %s\n"
     (tput single) (tput eight) speedup max_aux_recv quiescent
-    (if ok then "PASS" else "FAIL");
-  ok
-
-(* ------------------------------------------------------------------ *)
-(* Executor snapshot: the conflict-aware parallel applier's scaling    *)
-(* curve (1/2/4/8 worker domains over a commuting-heavy, CPU-weighted  *)
-(* workload), with serial equivalence verified in the same run, plus a *)
-(* full simulated cluster executing with exec_domains = 4 to show the  *)
-(* protocol path uses it and the shared auxiliary stays quiescent.     *)
-(* The >= 2x @ 4 domains gate only binds where it can physically hold: *)
-(* a parallel backend on >= 4 cores (the CI 5.x runners); elsewhere it *)
-(* is recorded as skipped and the equivalence checks still gate.       *)
-(* ------------------------------------------------------------------ *)
-
-let write_exec_snapshot () =
-  let module Applier = Cp_exec.Applier in
-  let module Backend = Cp_exec.Backend in
-  let module Stripes = Cp_exec.Stripes in
-  let cores = Backend.cpu_count () in
-  let n_ops = if quick then 1024 else 4096 in
-  let n_keys = 256 in
-  let iters = 4000 in
-  (* The op mix: per-key accumulate after a CPU-weighted hash spin, so the
-     apply path dominates and disjoint keys genuinely commute. A 2% slice
-     of wildcard ops keeps the conflict-serialization path exercised. *)
-  let rng = Cp_util.Rng.create 4242 in
-  let ops =
-    Array.init n_ops (fun i ->
-        if i mod 50 = 49 then "SCAN"
-        else Printf.sprintf "WORK k%d %d" (Cp_util.Rng.int rng n_keys) (i land 7))
-  in
-  let spin key salt =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to iters - 1 do
-      h :=
-        (!h lxor (Char.code key.[i mod String.length key] + i + salt)) * 0x01000193
-        land 0x3fffffff
-    done;
-    !h
-  in
-  let conflict_keys op =
-    match String.split_on_char ' ' op with
-    | [ "WORK"; k; _ ] -> [ k ]
-    | _ -> [ Cp_proto.Appi.wildcard ]
-  in
-  let fresh_state () = Stripes.create () in
-  let apply_on state op =
-    match String.split_on_char ' ' op with
-    | [ "WORK"; k; salt ] ->
-      let v = spin k (int_of_string salt) in
-      Stripes.with_key state k (fun tbl ->
-          let acc =
-            (Option.value (Hashtbl.find_opt tbl k) ~default:0 + v) land 0x3fffffff
-          in
-          Hashtbl.replace tbl k acc;
-          string_of_int acc)
-    | _ ->
-      (* wildcard: fold the whole state, like a consistent scan would *)
-      string_of_int (Stripes.fold state (fun _ v acc -> (acc + v) land 0x3fffffff) 0)
-  in
-  let dump state =
-    Stripes.fold state (fun k v acc -> (k, v) :: acc) []
-    |> List.sort compare
-    |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-    |> String.concat ","
-  in
-  (* Serial reference: results in log order and the final state. *)
-  let ref_state = fresh_state () in
-  let ref_results = Array.map (apply_on ref_state) ops in
-  let ref_dump = dump ref_state in
-  let time_at ~workers =
-    let serialized = ref 0 in
-    let parallel_batches = ref 0 in
-    let count name by =
-      if name = "exec_conflict_serialized" then serialized := !serialized + by
-      else if name = "exec_parallel_batches" then
-        parallel_batches := !parallel_batches + by
-    in
-    let run () =
-      let state = fresh_state () in
-      let a = Applier.create ~workers ~count ~conflict_keys () in
-      let t0 = Unix.gettimeofday () in
-      let results = Applier.batch_apply a ~apply:(apply_on state) ops in
-      (Unix.gettimeofday () -. t0, results, dump state)
-    in
-    (* best-of-3 wall time; equivalence must hold on every repetition *)
-    let reps = List.init 3 (fun _ -> run ()) in
-    let secs = List.fold_left (fun acc (s, _, _) -> Float.min acc s) infinity reps in
-    let equiv =
-      List.for_all (fun (_, results, d) -> results = ref_results && d = ref_dump) reps
-    in
-    (secs, equiv, !serialized > 0, !parallel_batches > 0)
-  in
-  let widths = [ 1; 2; 4; 8 ] in
-  let curve = List.map (fun w -> (w, time_at ~workers:w)) widths in
-  let secs_at w = match List.assoc w curve with s, _, _, _ -> s in
-  let equiv_ok = List.for_all (fun (_, (_, e, _, _)) -> e) curve in
-  let speedup4 = secs_at 1 /. secs_at 4 in
-  let gate_applicable = Backend.parallel && cores >= 4 in
-  let scaling_ok = (not gate_applicable) || speedup4 >= 2.0 in
-  (* Conflict bookkeeping: wildcard SCANs must force serializations, and a
-     parallel backend must actually take the parallel path at width 4. *)
-  let _, _, ser4, par4 = List.assoc 4 curve in
-  let counters_ok = ser4 && (par4 || not Backend.parallel) in
-  (* Full protocol path: an f=1 cluster executing through a 4-wide applier
-     (commands spread over 64 keys), auxiliary quiescent throughout. *)
-  let module Cluster = Cp_runtime.Cluster in
-  let params =
-    { Cp_engine.Params.default with Cp_engine.Params.exec_domains = 4 }
-  in
-  let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
-  let cluster =
-    Cluster.create ~seed:91 ~params ~conflict_keys:Cp_smr.Kv.conflict_keys
-      ~policy:Cheap_paxos.Cheap.policy ~initial ~app:(module Cp_smr.Kv) ()
-  in
-  let per_client = if quick then 20 else 60 in
-  let handles =
-    List.init 24 (fun i ->
-        let ops =
-          Cp_workload.Workload.kv_ops
-            ~rng:(Cp_util.Rng.create (7100 + i))
-            ~keys:64 ~read_ratio:0. ~count:per_client ()
-        in
-        Cluster.add_client cluster ~think:0. ~ops ())
-  in
-  let finished () =
-    List.for_all (fun (_, c) -> Cp_smr.Client.is_finished c) handles
-  in
-  let done_ = Cluster.run_until cluster ~deadline:60. finished in
-  let exec_parallel =
-    Cluster.sum_metric cluster ~ids:(Cluster.mains cluster) "exec_parallel_batches"
-  in
-  let exec_serialized =
-    Cluster.sum_metric cluster ~ids:(Cluster.mains cluster) "exec_conflict_serialized"
-  in
-  let aux_recv =
-    List.map (fun aux -> (aux, Cluster.metric cluster aux "msgs_recv"))
-      (Cluster.auxes cluster)
-  in
-  let aux_quiescent = List.for_all (fun (_, n) -> n <= 50) aux_recv in
-  let cluster_parallel_ok = exec_parallel > 0 || not Backend.parallel in
-  let oc = open_out "BENCH_exec.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"backend_parallel\": %b,\n  \"cpu_cores\": %d,\n"
-    Backend.parallel cores;
-  Printf.fprintf oc "  \"ops\": %d,\n  \"distinct_keys\": %d,\n  \"spin_iters\": %d,\n"
-    n_ops n_keys iters;
-  Printf.fprintf oc "  \"scaling\": [\n%s\n  ],\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (w, (s, _, _, _)) ->
-            Printf.sprintf
-              "    {\"workers\": %d, \"seconds\": %.6f, \"ops_per_s\": %.1f}" w s
-              (float_of_int n_ops /. s))
-          curve));
-  Printf.fprintf oc "  \"speedup_4\": %.3f,\n" speedup4;
-  Printf.fprintf oc "  \"scaling_gate_applicable\": %b,\n" gate_applicable;
-  Printf.fprintf oc "  \"scaling_gate_pass\": %b,\n" scaling_ok;
-  Printf.fprintf oc "  \"serial_equivalence_pass\": %b,\n" equiv_ok;
-  Printf.fprintf oc "  \"conflict_counters_pass\": %b,\n" counters_ok;
-  Printf.fprintf oc
-    "  \"cluster\": {\"finished\": %b, \"exec_parallel_batches\": %d, \
-     \"exec_conflict_serialized\": %d, \"aux_recv\": [%s], \"aux_quiescent\": %b},\n"
-    done_ exec_parallel exec_serialized
-    (String.concat ", "
-       (List.map (fun (a, n) -> Printf.sprintf "{\"aux\": %d, \"recv\": %d}" a n) aux_recv))
-    aux_quiescent;
-  let ok =
-    equiv_ok && scaling_ok && counters_ok && done_ && aux_quiescent
-    && cluster_parallel_ok
-  in
-  Printf.fprintf oc "  \"pass\": %b\n}\n" ok;
-  close_out oc;
-  Printf.printf
-    "wrote BENCH_exec.json (1w %.0f ops/s, 4w %.0f ops/s, speedup %.2fx%s, \
-     equivalence %b, cluster exec_parallel_batches %d, aux quiescent %b) -- %s\n"
-    (float_of_int n_ops /. secs_at 1)
-    (float_of_int n_ops /. secs_at 4)
-    speedup4
-    (if gate_applicable then "" else " [scaling gate skipped: insufficient cores]")
-    equiv_ok exec_parallel aux_quiescent
     (if ok then "PASS" else "FAIL");
   ok
 
@@ -1034,7 +873,7 @@ let write_wire_snapshot () =
 (* E18: durable storage — group commit, recovery, amplification        *)
 (* ------------------------------------------------------------------ *)
 
-(* The WAL's cost model (DESIGN.md section 9): fsync is the unit of cost on
+(* The WAL's cost model (DESIGN.md section 8): fsync is the unit of cost on
    the persistence path, and the group-commit rule (one flush per effect
    batch) must amortize it by the pipeline depth. Measured directly against
    the same record stream flushed sync-per-record. Also measured: cold
@@ -1171,13 +1010,12 @@ let () =
   let reads_ok = write_reads_snapshot () in
   let trace_ok = write_trace_snapshot () in
   let fleet_ok = write_fleet_snapshot () in
-  let exec_ok = write_exec_snapshot () in
   let wire_ok = write_wire_snapshot () in
   let storage_ok = write_storage_snapshot () in
   run_microbenches ();
   if
     Cp_harness.Outcome.all_pass outcomes && batch_ok && reads_ok && trace_ok
-    && fleet_ok && exec_ok && wire_ok && storage_ok
+    && fleet_ok && wire_ok && storage_ok
   then
     print_endline "\nALL CLAIMS REPRODUCED"
   else begin

@@ -61,7 +61,7 @@ let csv_arg =
     & info [ "csv" ] ~docv:"DIR" ~doc:"Also write every table as CSV into $(docv).")
 
 let experiments_cmd =
-  let doc = "Run the evaluation suite (all tables; see DESIGN.md section 7)." in
+  let doc = "Run the evaluation suite (all tables; see DESIGN.md section 9)." in
   Cmd.v
     (Cmd.info "experiments" ~doc)
     Term.(
@@ -122,15 +122,13 @@ let print_storage_summary spec engine ids =
    key-sharded Cheap Paxos groups behind a {!Cp_fleet.Group_mux}, clients
    routed per-command by key. Prints the per-group leaders, shard spread,
    and the per-group frame counts on the shared auxiliary. *)
-let run_fleet_demo seed trace trace_jsonl trace_chrome params ?conflict_keys ~storage
-    read_ratio groups =
+let run_fleet_demo seed trace trace_jsonl trace_chrome params ~storage read_ratio groups =
   let module Fleet = Cp_fleet.Fleet in
   let module Engine = Cp_sim.Engine in
   let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
   let fleet =
-    Fleet.create ~seed ~params ~groups ?conflict_keys
-      ?storage:(sim_storage_factory storage) ~policy:Cheap_paxos.Cheap.policy ~initial
-      ~app:(module Cp_smr.Kv) ()
+    Fleet.create ~seed ~params ~groups ?storage:(sim_storage_factory storage)
+      ~policy:Cheap_paxos.Cheap.policy ~initial ~app:(module Cp_smr.Kv) ()
   in
   if trace then
     Engine.on_event (Fleet.engine fleet) (fun r ->
@@ -177,7 +175,7 @@ let run_fleet_demo seed trace trace_jsonl trace_chrome params ?conflict_keys ~st
   if finished then 0 else 1
 
 let run_demo seed trace trace_jsonl trace_chrome batch pipeline linger read_ratio lease
-    gap_threshold groups domains exec_par storage =
+    gap_threshold groups storage =
   let module Cluster = Cp_runtime.Cluster in
   let module Faults = Cp_runtime.Faults in
   let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
@@ -189,18 +187,13 @@ let run_demo seed trace trace_jsonl trace_chrome batch pipeline linger read_rati
       batch_linger = linger;
       enable_leases = lease;
       gap_threshold;
-      exec_domains = (if exec_par then max domains 1 else 1);
     }
   in
-  (* With --exec-par the mains execute through the conflict-aware parallel
-     applier using the KV app's real key declarations. *)
-  let conflict_keys = if exec_par then Some Cp_smr.Kv.conflict_keys else None in
   if groups > 1 then
-    run_fleet_demo seed trace trace_jsonl trace_chrome params ?conflict_keys ~storage
-      read_ratio groups
+    run_fleet_demo seed trace trace_jsonl trace_chrome params ~storage read_ratio groups
   else
   let cluster =
-    Cluster.create ~seed ~params ?conflict_keys ?storage:(sim_storage_factory storage)
+    Cluster.create ~seed ~params ?storage:(sim_storage_factory storage)
       ~policy:Cheap_paxos.Cheap.policy ~initial ~app:(module Cp_smr.Kv) ()
   in
   if trace then
@@ -224,15 +217,6 @@ let run_demo seed trace trace_jsonl trace_chrome batch pipeline linger read_rati
     Printf.printf "lease reads served locally: %d (fallbacks to ordering: %d)\n"
       (Cluster.sum_metric cluster ~ids:(Cluster.mains cluster) "lease_reads")
       (Cluster.sum_metric cluster ~ids:(Cluster.mains cluster) "lease_read_fallbacks");
-  if exec_par then
-    Printf.printf
-      "parallel execution (%d domains): %d parallel windows, %d serial windows, %d \
-       conflict-serialized ops, %d barrier ops\n"
-      params.Cp_engine.Params.exec_domains
-      (Cluster.sum_metric cluster ~ids:(Cluster.mains cluster) "exec_parallel_batches")
-      (Cluster.sum_metric cluster ~ids:(Cluster.mains cluster) "exec_serial_batches")
-      (Cluster.sum_metric cluster ~ids:(Cluster.mains cluster) "exec_conflict_serialized")
-      (Cluster.sum_metric cluster ~ids:(Cluster.mains cluster) "exec_barrier_ops");
   (match trace_jsonl with
   | None -> ()
   | Some path ->
@@ -335,32 +319,12 @@ let demo_cmd =
              (one shared auxiliary). With N > 1 the demo runs the fleet runtime: \
              routed clients, per-group leaders, per-group auxiliary quiescence.")
   in
-  let domains =
-    Arg.(
-      value
-      & opt int 4
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker-domain count for $(b,--exec-par): commands on disjoint keys \
-             execute concurrently on up to $(docv) domains of the process pool.")
-  in
-  let exec_par =
-    Arg.(
-      value & flag
-      & info [ "exec-par" ]
-          ~doc:
-            "Execute chosen commands through the conflict-aware parallel applier \
-             (lib/exec) using the KV app's per-key conflict declarations, instead \
-             of the serial apply loop. Results are identical; the demo prints the \
-             parallel/serialized window counters.")
-  in
   Cmd.v (Cmd.info "demo" ~doc)
     Term.(
-      const (fun s t j c b p l r le g gr d ep st ->
-          Stdlib.exit (run_demo s t j c b p l r le g gr d ep st))
+      const (fun s t j c b p l r le g gr st ->
+          Stdlib.exit (run_demo s t j c b p l r le g gr st))
       $ seed $ trace $ trace_jsonl $ trace_chrome $ batch $ pipeline $ linger
-      $ read_ratio $ lease $ gap_threshold $ groups $ domains $ exec_par
-      $ storage_arg ~unit_:"machine")
+      $ read_ratio $ lease $ gap_threshold $ groups $ storage_arg ~unit_:"machine")
 
 (* ------------------------------------------------------------------ *)
 (* Real multi-process cluster: `node` runs one machine over UDP,      *)
@@ -378,7 +342,7 @@ let base_port_arg =
 let f_arg =
   Arg.(value & opt int 1 & info [ "f" ] ~docv:"F" ~doc:"Fault tolerance (f+1 mains, f auxes).")
 
-let run_node id f base_port admin_port exec_domains storage =
+let run_node id f base_port admin_port storage =
   let initial = Cheap_paxos.Cheap.initial_config ~f in
   let universe_mains = List.init (f + 1) Fun.id in
   let universe_auxes = List.init f (fun i -> f + 1 + i) in
@@ -390,8 +354,6 @@ let run_node id f base_port admin_port exec_domains storage =
       Stdlib.exit 2
     end
   in
-  let params =
-    { Cp_engine.Params.default with Cp_engine.Params.exec_domains } in
   (* A real process keeps its own WAL root per machine, one subdirectory per
      hosted group (the node's storage factory is keyed by group id): a node
      restarted on the same --storage wal:DIR replays its promises, votes,
@@ -412,31 +374,20 @@ let run_node id f base_port admin_port exec_domains storage =
       ~id_of_port:(fun p -> p - base_port)
       ~id ~seed:(Unix.getpid ())
       ~build:(fun ctx ->
-        let exec =
-          if role = Cp_engine.Replica.Main && exec_domains > 1 then
-            Some
-              (Cp_exec.Applier.create ~workers:exec_domains
-                 ~count:(fun name by -> Cp_sim.Metrics.incr ctx.Cp_sim.Engine.metrics ~by name)
-                 ~conflict_keys:Cp_smr.Kv.conflict_keys ())
-          else None
-        in
         let r =
-          Cp_engine.Replica.create ?exec ctx ~role ~policy:Cheap_paxos.Cheap.policy
-            ~params ~initial ~universe_mains ~universe_auxes
+          Cp_engine.Replica.create ctx ~role ~policy:Cheap_paxos.Cheap.policy
+            ~params:Cp_engine.Params.default ~initial ~universe_mains ~universe_auxes
             ~app:(module Cp_smr.Kv)
         in
         Cp_engine.Replica.handlers r)
       ()
   in
-  Printf.printf "machine %d (%s) serving on udp/127.0.0.1:%d%s%s — ctrl-c to stop\n%!" id
+  Printf.printf "machine %d (%s) serving on udp/127.0.0.1:%d%s — ctrl-c to stop\n%!" id
     (match role with Cp_engine.Replica.Main -> "main" | Aux -> "auxiliary")
     (base_port + id)
     (match admin_port with
     | Some p -> Printf.sprintf ", admin http on tcp/127.0.0.1:%d" p
-    | None -> "")
-    (if role = Cp_engine.Replica.Main && exec_domains > 1 then
-       Printf.sprintf ", parallel apply on %d domains" exec_domains
-     else "");
+    | None -> "");
   (match storage with
   | `Mem -> ()
   | `Wal dir ->
@@ -460,22 +411,10 @@ let node_cmd =
              /metrics (Prometheus text, including the pipeline profiler), and \
              /timeline (this node's event ring as Chrome trace-event JSON).")
   in
-  let exec_domains =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "exec-domains" ] ~docv:"N"
-          ~doc:
-            "With $(docv) > 1 (mains only): execute chosen commands through the \
-             conflict-aware parallel applier, $(docv) domains wide. Handlers \
-             still run one at a time under the node's mutex. Default 0 applies \
-             commands serially.")
-  in
   Cmd.v (Cmd.info "node" ~doc)
     Term.(
-      const (fun id f bp ap ed st -> run_node id f bp ap ed st)
-      $ id $ f_arg $ base_port_arg $ admin_port $ exec_domains
-      $ storage_arg ~unit_:"hosted group")
+      const (fun id f bp ap st -> run_node id f bp ap st)
+      $ id $ f_arg $ base_port_arg $ admin_port $ storage_arg ~unit_:"hosted group")
 
 let run_client_op f base_port op =
   let universe_mains = List.init (f + 1) Fun.id in

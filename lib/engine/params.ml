@@ -23,7 +23,6 @@ type t = {
   queue_limit : int;
   profile : bool;
   span_ttl : float;
-  exec_domains : int;
 }
 
 let default =
@@ -52,7 +51,6 @@ let default =
     queue_limit = 4096;
     profile = true;
     span_ttl = 10.;
-    exec_domains = 1;
   }
 
 let scale k t =

@@ -167,16 +167,12 @@ let recover stable ~role =
     r_had_state;
   }
 
-let create ?exec ctx ~role ~policy ~params ~initial ~universe_mains ~universe_auxes
-    ~app =
+let create ctx ~role ~policy ~params ~initial ~universe_mains ~universe_auxes ~app =
   let recovery = recover ctx.Engine.stable ~role in
   let core, effects =
     Core.create ~self:ctx.Engine.self ~now:(ctx.Engine.now ()) ~rng:ctx.Engine.rng ~role
       ~policy ~params ~initial ~universe_mains ~universe_auxes ~app ~recovery
   in
-  (* Parallel applier, if any: overrides the learner's batch hook. Recovery
-     replay above ran serially, which is always equivalent. *)
-  Option.iter (fun a -> Cp_exec.Applier.attach a core.State.app) exec;
   let prof =
     if params.Params.profile then
       Obs.Prof.create ~clock:ctx.Engine.now ~counter:(Metrics.counter ctx.Engine.metrics)

@@ -37,15 +37,9 @@ let group_overhead gid =
   let rec digits n acc = if n < 0x80 then acc else digits (n lsr 7) (acc + 1) in
   1 + digits (gid lsl 1) 1
 
-let machine_ids (initial : Config.t) ~spare_mains =
-  let base = initial.Config.mains @ initial.Config.aux_pool in
-  let top = List.fold_left max (-1) base in
-  let spares = List.init spare_mains (fun i -> top + 1 + i) in
-  (initial.Config.mains @ spares, initial.Config.aux_pool, spares)
-
 let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.default)
-    ?proc_time ?(spare_mains = 0) ?(obs = true) ?router ?wheel_tick ?conflict_keys
-    ?storage ~groups ~policy ~initial ~app () =
+    ?proc_time ?(spare_mains = 0) ?(obs = true) ?router ?wheel_tick ?storage
+    ~groups ~policy ~initial ~app () =
   if groups <= 0 then invalid_arg "Fleet.create: need at least one group";
   let router_ =
     match router with
@@ -67,7 +61,7 @@ let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.
       ~classify:(fun (_, msg) -> Types.classify msg)
       ()
   in
-  let universe_mains, universe_auxes, _ = machine_ids initial ~spare_mains in
+  let universe_mains, universe_auxes = Config.machine_ids initial ~spare_mains in
   let t =
     {
       eng;
@@ -84,7 +78,7 @@ let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.
   let add_machine role id =
     Engine.add_node eng ~id (fun ctx ->
         let m =
-          Group_mux.create ctx ~groups ?wheel_tick ?conflict_keys ~role ~policy
+          Group_mux.create ctx ~groups ?wheel_tick ~role ~policy
             ~params ~initial ~universe_mains ~universe_auxes ~app ()
         in
         Hashtbl.replace t.muxes id m;
@@ -171,16 +165,7 @@ let run ?until t = Engine.run ?until t.eng
 
 let now t = Engine.now t.eng
 
-let run_until t ?(step = 0.01) ~deadline cond =
-  let rec go () =
-    if cond () then true
-    else if Engine.now t.eng >= deadline then false
-    else begin
-      Engine.run ~until:(Engine.now t.eng +. step) t.eng;
-      go ()
-    end
-  in
-  go ()
+let run_until t ?step ~deadline cond = Engine.run_until t.eng ?step ~deadline cond
 
 let leader t ~gid =
   List.find_opt

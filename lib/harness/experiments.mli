@@ -2,7 +2,7 @@
 
     The DSN 2004 paper contains no measurements; every experiment here
     quantifies one of its {e analytical} claims against the classic
-    Multi-Paxos baseline on the simulated network (see DESIGN.md §5 for the
+    Multi-Paxos baseline on the simulated network (see DESIGN.md §9 for the
     index). Each experiment returns the printable table plus
     claim-vs-measured {!Outcome.t} verdicts for EXPERIMENTS.md.
 

@@ -60,6 +60,11 @@ val add_main : t -> int -> t option
 (** Re-admit a (repaired) machine as a main. [None] if already a main.
     If the machine is in the aux pool it is promoted out of it. *)
 
+val machine_ids : t -> spare_mains:int -> int list * int list
+(** [(mains, auxes)]: every main-class machine id — the configuration's
+    mains, then [spare_mains] spares numbered on after the highest id in
+    use — and the auxiliary pool. A runtime builds one machine per id. *)
+
 val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool

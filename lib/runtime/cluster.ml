@@ -14,15 +14,8 @@ type t = {
   mutable next_client : int;
 }
 
-let machine_ids (initial : Config.t) ~spare_mains =
-  let base = initial.Config.mains @ initial.Config.aux_pool in
-  let top = List.fold_left max (-1) base in
-  let spares = List.init spare_mains (fun i -> top + 1 + i) in
-  (initial.Config.mains @ spares, initial.Config.aux_pool, spares)
-
 let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.default)
-    ?proc_time ?(spare_mains = 0) ?(obs = true) ?conflict_keys ?storage ~policy
-    ~initial ~app () =
+    ?proc_time ?(spare_mains = 0) ?(obs = true) ?storage ~policy ~initial ~app () =
   let proc_time = Option.map (fun cost _msg -> cost) proc_time in
   (* Client submissions start a fresh causal chain: each command gets its
      own cross-node trace id. *)
@@ -35,7 +28,7 @@ let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.
     Engine.create ~seed ~net ?proc_time ~obs ~fresh_trace ?storage
       ~size_of:Types.size_of ~classify:Types.classify ()
   in
-  let universe_mains, universe_auxes, _ = machine_ids initial ~spare_mains in
+  let universe_mains, universe_auxes = Config.machine_ids initial ~spare_mains in
   let t =
     {
       eng;
@@ -49,20 +42,8 @@ let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.
   in
   let add_machine role id =
     Engine.add_node eng ~id (fun ctx ->
-        (* Opt-in parallel applier (params.exec_domains > 1): per-machine so
-           its counters land in the machine's metrics. *)
-        let exec =
-          if role = Replica.Main && params.Cp_engine.Params.exec_domains > 1 then
-            Some
-              (Cp_exec.Applier.create ~workers:params.Cp_engine.Params.exec_domains
-                 ~count:(fun name by -> Metrics.incr ctx.Engine.metrics ~by name)
-                 ~conflict_keys:
-                   (Option.value conflict_keys ~default:Appi.all_conflict)
-                 ())
-          else None
-        in
         let r =
-          Replica.create ?exec ctx ~role ~policy ~params ~initial ~universe_mains
+          Replica.create ctx ~role ~policy ~params ~initial ~universe_mains
             ~universe_auxes ~app
         in
         Hashtbl.replace t.replicas id r;
@@ -129,16 +110,7 @@ let run ?until t = Engine.run ?until t.eng
 
 let now t = Engine.now t.eng
 
-let run_until t ?(step = 0.01) ~deadline cond =
-  let rec go () =
-    if cond () then true
-    else if Engine.now t.eng >= deadline then false
-    else begin
-      Engine.run ~until:(Engine.now t.eng +. step) t.eng;
-      go ()
-    end
-  in
-  go ()
+let run_until t ?step ~deadline cond = Engine.run_until t.eng ?step ~deadline cond
 
 let up_ids t =
   List.filter (Engine.is_up t.eng) (t.universe_mains @ t.universe_auxes)

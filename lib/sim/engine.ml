@@ -326,3 +326,14 @@ let run ?until ?(max_events = 50_000_000) t =
   match until with
   | Some stop when t.time < stop && Heap.is_empty t.queue -> t.time <- stop
   | _ -> ()
+
+let run_until t ?(step = 0.01) ~deadline cond =
+  let rec go () =
+    if cond () then true
+    else if t.time >= deadline then false
+    else begin
+      run ~until:(t.time +. step) t;
+      go ()
+    end
+  in
+  go ()

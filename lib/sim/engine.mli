@@ -115,6 +115,10 @@ val run : ?until:float -> ?max_events:int -> 'm t -> unit
 (** Process events until the queue empties, virtual time exceeds [until], or
     [max_events] have been processed (a livelock guard, default 50M). *)
 
+val run_until : 'm t -> ?step:float -> deadline:float -> (unit -> bool) -> bool
+(** Advance virtual time in [step] increments (default 10 ms) until the
+    condition holds or [deadline] passes; returns whether it held. *)
+
 val now : 'm t -> float
 
 val events_processed : 'm t -> int

@@ -3,11 +3,10 @@
     The in-process transport's wire: variable-length records written
     zero-copy (the producer's encoder serializes straight into the ring's
     backing bytes) and consumed in place (the reader gets a window into the
-    same bytes, no per-record substring). Same ownership discipline as
-    {!Cp_exec.Spsc}: indices grow monotonically, producer owns the tail,
-    consumer owns the head, each reads the other's index with a
-    sequentially-consistent [Atomic.get] — so one producer domain and one
-    consumer domain need no lock. Single-threaded use is just the
+    same bytes, no per-record substring). Indices grow monotonically, the
+    producer owns the tail, the consumer owns the head, and each reads the
+    other's index with a sequentially-consistent [Atomic.get] — so one
+    producer domain and one consumer domain need no lock. Single-threaded use is just the
     degenerate case.
 
     Records never wrap: a record that does not fit contiguously before the

@@ -118,113 +118,7 @@ let test_udp_cluster_commits () =
   Alcotest.(check bool) "metrics exposition has latency summary" true
     (contains metrics_text0 "cp_commit_latency{quantile=\"0.5\"}")
 
-(* Same cluster, with the mains built exactly as [cheap_paxos node
-   --exec-domains 2] builds them: chosen commands execute through a 2-wide
-   conflict-aware applier over the KV app's key declarations, while
-   handlers keep running under the node mutex. The protocol outcome must be
-   unchanged, and the applier's [exec_*] counters must reach the node's
-   metrics through the ctx. *)
-let applier_base_port = 45900
-
-let test_udp_parallel_applier () =
-  let port_of id = applier_base_port + id in
-  let id_of_port port = port - applier_base_port in
-  let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
-  let universe_mains = [ 0; 1 ] and universe_auxes = [ 2 ] in
-  let params = { Cp_engine.Params.default with Cp_engine.Params.exec_domains = 2 } in
-  let replicas = Hashtbl.create 4 in
-  let make_replica id role =
-    Node.create ~port_of ~id_of_port ~id ~seed:99
-      ~build:(fun ctx ->
-        let exec =
-          if role = Replica.Main then
-            Some
-              (Cp_exec.Applier.create ~workers:2
-                 ~count:(fun name by -> Cp_sim.Metrics.incr ctx.Cp_sim.Engine.metrics ~by name)
-                 ~conflict_keys:Cp_smr.Kv.conflict_keys ())
-          else None
-        in
-        let r =
-          Replica.create ?exec ctx ~role ~policy:Cheap_paxos.Cheap.policy ~params ~initial
-            ~universe_mains ~universe_auxes ~app:(module Cp_smr.Kv)
-        in
-        Hashtbl.replace replicas id r;
-        Replica.handlers r)
-      ()
-  in
-  let nodes =
-    List.map (fun id -> (id, make_replica id Replica.Main)) universe_mains
-    @ List.map (fun id -> (id, make_replica id Replica.Aux)) universe_auxes
-  in
-  let total = 15 in
-  let client_cell = ref None in
-  let client_node =
-    Node.create ~port_of ~id_of_port ~id:1000 ~seed:7
-      ~build:(fun ctx ->
-        let c =
-          Client.create ctx ~mains:universe_mains ~timeout:0.2
-            ~ops:(fun seq ->
-              if seq <= total then
-                Some (Cp_smr.Kv.put (Printf.sprintf "k%d" (seq mod 4)) (string_of_int seq))
-              else None)
-            ()
-        in
-        client_cell := Some c;
-        Client.handlers c)
-      ()
-  in
-  let client = Option.get !client_cell in
-  let deadline = Unix.gettimeofday () +. 20. in
-  let rec wait () =
-    if Node.with_lock client_node (fun () -> Client.is_finished client) then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Thread.delay 0.05;
-      wait ()
-    end
-  in
-  let finished = wait () in
-  let done_count = Node.with_lock client_node (fun () -> Client.done_count client) in
-  Thread.delay 0.2;
-  let dumps =
-    List.map
-      (fun id ->
-        let r = Hashtbl.find replicas id in
-        Node.with_lock (List.assoc id nodes) (fun () ->
-            {
-              Cp_checker.Consistency.node = id;
-              base = Replica.log_base r;
-              entries = Replica.log_range r ~lo:(Replica.log_base r) ~hi:max_int;
-            }))
-      universe_mains
-  in
-  let applied =
-    List.fold_left
-      (fun acc id -> max acc (Node.counter (List.assoc id nodes) "exec_batch_ops"))
-      0 universe_mains
-  in
-  let windows id =
-    let node = List.assoc id nodes in
-    Node.counter node "exec_serial_batches" + Node.counter node "exec_parallel_batches"
-  in
-  let main_windows = List.map windows universe_mains in
-  let aux_applied = Node.counter (List.assoc 2 nodes) "exec_batch_ops" in
-  List.iter (fun (_, n) -> Node.shutdown n) nodes;
-  Node.shutdown client_node;
-  Alcotest.(check bool) "client finished with the parallel applier" true finished;
-  Alcotest.(check int) "all ops done" total done_count;
-  (match Cp_checker.Consistency.agreement dumps with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check bool)
-    (Printf.sprintf "applier counted every op (%d)" applied)
-    true (applied >= total);
-  Alcotest.(check bool) "every main applied through the applier" true
-    (List.for_all (fun w -> w > 0) main_windows);
-  Alcotest.(check int) "auxiliary has no applier" 0 aux_applied
-
 let suite =
   [
     Alcotest.test_case "udp cluster commits" `Slow test_udp_cluster_commits;
-    Alcotest.test_case "udp cluster commits (parallel applier)" `Slow test_udp_parallel_applier;
   ]

@@ -158,9 +158,9 @@ let test_acceptor_commit_floor_drops () =
 
 (* --- leader ------------------------------------------------------------- *)
 
-let elect () =
+let elect ?params () =
   (* Node 0 boots as candidate; one promise from node 1 completes phase 1. *)
-  let t, boot_effs = mk ~self:0 () in
+  let t, boot_effs = mk ~self:0 ?params () in
   (match t.State.state with
   | State.Candidate _ -> ()
   | _ -> Alcotest.fail "node 0 should campaign on first boot");
@@ -243,6 +243,53 @@ let test_learner_gap_blocks_execution () =
   Alcotest.(check int) "gap at 0 blocks execution" 0 t.State.executed_;
   let t, _ = Learner.step t ~now:0.2 (Learner.Learn { instance = 0; entry = Types.Noop }) in
   Alcotest.(check int) "filling the gap executes both" 2 t.State.executed_
+
+(* Replies to client 1000 in emission order, as (seq, result). *)
+let replies effs =
+  sends_to 1000 effs
+  |> List.map (function
+       | Types.ClientResp { seq; result; _ } -> (seq, result)
+       | _ -> Alcotest.fail "only ClientResp expected to the client")
+
+let applied effs =
+  List.length (List.filter (function Effect.Metric ("applied", _) -> true | _ -> false) effs)
+
+let executed effs =
+  List.filter_map
+    (function Effect.Emit (Cp_obs.Event.Command_executed { instance }) -> Some instance | _ -> None)
+    effs
+
+(* At-most-once execution on the leader, with a two-reply session window:
+   a duplicate inside one batch, one repeated by a later batch, and seqs
+   whose cached reply has been evicted. *)
+let test_learner_duplicates_apply_once () =
+  let t, _, _ = elect ~params:{ Params.default with Params.session_window = 2 } () in
+  let cmd seq op = { Types.client = 1000; seq; op } in
+  let learn t instance entry = Learner.step t ~now:0.5 (Learner.Learn { instance; entry }) in
+  let resps = Alcotest.(list (pair int string)) in
+  (* Instance 1 arrives first and waits on the gap at 0. *)
+  let t, effs = learn t 1 (Types.Batch [ cmd 1 "a"; cmd 2 "b" ]) in
+  Alcotest.(check int) "gap blocks execution" 0 t.State.executed_;
+  Alcotest.(check resps) "no replies before execution" [] (replies effs);
+  let t, effs = learn t 0 (Types.Batch [ cmd 1 "a"; cmd 1 "a" ]) in
+  Alcotest.(check resps) "every copy of seq 1 gets the one result"
+    [ (1, "r:a"); (1, "r:a"); (1, "r:a"); (2, "r:b") ]
+    (replies effs);
+  Alcotest.(check int) "seq 1 and seq 2 applied once each" 2 (applied effs);
+  Alcotest.(check (list int)) "one execution per instance, in order" [ 0; 1 ] (executed effs);
+  (* Seq 1 is still cached; seqs 3 and 4 then evict seqs 1 and 2. *)
+  let t, effs = learn t 2 (Types.Batch [ cmd 1 "a"; cmd 3 "c"; cmd 4 "d"; cmd 1 "a" ]) in
+  Alcotest.(check resps) "cached reply, two new results, no reply once evicted"
+    [ (1, "r:a"); (3, "r:c"); (4, "r:d") ]
+    (replies effs);
+  Alcotest.(check int) "only the new seqs applied" 2 (applied effs);
+  Alcotest.(check (list int)) "instance 2 executed" [ 2 ] (executed effs);
+  let t, _ = learn t 4 (Types.App (cmd 4 "d")) in
+  let t, effs = learn t 3 (Types.App (cmd 2 "b")) in
+  Alcotest.(check resps) "evicted seq 2 silent, cached seq 4 answered" [ (4, "r:d") ] (replies effs);
+  Alcotest.(check int) "nothing re-applied" 0 (applied effs);
+  Alcotest.(check (list int)) "instances 3 and 4 executed in order" [ 3; 4 ] (executed effs);
+  Alcotest.(check string) "each op applied exactly once" "abcd" (t.State.app.Appi.snapshot ())
 
 (* --- catchup ------------------------------------------------------------ *)
 
@@ -361,6 +408,8 @@ let suite =
     Alcotest.test_case "leader: follower redirects" `Quick test_leader_redirect_when_follower;
     Alcotest.test_case "learner: learn executes" `Quick test_learner_learn_executes;
     Alcotest.test_case "learner: gap blocks execution" `Quick test_learner_gap_blocks_execution;
+    Alcotest.test_case "learner: duplicate commands apply once" `Quick
+      test_learner_duplicates_apply_once;
     Alcotest.test_case "catchup: serves range" `Quick test_catchup_serves_range;
     Alcotest.test_case "catchup: commit learns" `Quick test_catchup_commit_learns;
     Alcotest.test_case "catchup: gap triggers request" `Quick test_catchup_gap_triggers_request;
